@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import sys
-import time
+from time import perf_counter
 
 from sqpbands import (
     BandWord,
@@ -31,9 +31,9 @@ from sqpbands.invariants import BudgetExceeded
 
 def show_family(name: str, seed: BandWord, steps: int) -> None:
     print(f"== {name}: {seed.to_text()} in B_{seed.strands}")
-    t0 = time.time()
+    t0 = perf_counter()
     results = family(seed, steps)
-    print(f"   built with full oracle verification in {time.time() - t0:.1f}s")
+    print(f"   built with full oracle verification in {perf_counter() - t0:.1f}s")
     jones_prev = None
     for step in results:
         artin = step.word.expand_to_artin()

@@ -24,7 +24,6 @@ from .invariants import (
     jones_tl,
     kauffman_bracket_bruteforce,
     linking_matrix,
-    signature_of_word,
     slice_necessary,
 )
 from .laurent import LaurentPolynomial
@@ -38,7 +37,7 @@ from .surface import (
     trace_boundary,
 )
 from .tie import bundled_alpha, family, tie, trivial_annulus
-from .words import BandWord, underlying_permutation
+from .words import BandWord
 
 RANDOM_SEED = 20260809
 
@@ -67,7 +66,7 @@ class CriterionResult:
         self.checks.append((name, status, detail))
 
     def finish(self, t0: float) -> CriterionResult:
-        self.elapsed_s = time.time() - t0
+        self.elapsed_s = time.perf_counter() - t0
         if self.elapsed_s > self.budget_s:
             self.passed = False
             self.note("runtime", "fail", f"{self.elapsed_s:.1f}s over {self.budget_s:.0f}s budget")
@@ -103,7 +102,7 @@ def _random_sqp_words(rng: random.Random, count: int, require_non_unlink: bool =
 
 def criterion_1_alpha(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Bundled annulus word: surface data and companion polynomial."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(1, "alpha-verification", 5.0)
     alpha = bundled_alpha().word
     res.check("connected", surface_graph(alpha).component_count == 1)
@@ -131,7 +130,7 @@ def criterion_1_alpha(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
 
 def criterion_2_oracles(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Seifert pipeline vs Burau; TL Jones vs brute-force state sum."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(2, "oracle-equivalence", 30.0)
     rng = random.Random(RANDOM_SEED)
     corpus = load_corpus()
@@ -162,7 +161,7 @@ def criterion_2_oracles(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
 
 def criterion_3_selection(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Case classification anchors and unlink rejection."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(3, "band-selection", 1.0)
     sel_hopf = classify_and_select(HOPF)
     res.check("hopf-case1", sel_hopf.case == "Case1" and sel_hopf.band == 1, str(sel_hopf))
@@ -185,7 +184,7 @@ def criterion_3_selection(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult
 
 def criterion_4_trivial_control(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Splicing the unknot annulus changes no computed invariant."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(4, "trivial-annulus-control", 60.0)
     annulus = trivial_annulus()
     for target in (TREFOIL, HOPF):
@@ -211,20 +210,17 @@ def criterion_4_trivial_control(budget: int = DEFAULT_JONES_BUDGET) -> Criterion
 
 def criterion_5_case1_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Hopf-band seed: component polynomials grow by the companion factor."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(5, "case1-family", 120.0)
     steps = family(HOPF, 3)
     seen_polys = []
     for i, step in enumerate(steps):
-        artin = step.word.expand_to_artin()
-        perm = underlying_permutation(artin)
-        res.check(f"i={i}:components", perm.cycle_count() == 2)
-        lk = linking_matrix(artin)
+        closure = step.closure
+        res.check(f"i={i}:components", closure.permutation.cycle_count() == 2)
+        lk = closure.linking
         res.check(f"i={i}:linking", lk[0][1] == 1, f"lk = {lk[0][1]}")
         want = (COMPANION_DELTA ** i).normalized()
-        polys = [
-            alexander_of_word(extract_component(artin, comp)) for comp in (0, 1)
-        ]
+        polys = [c.alexander for c in closure.component_records]
         for comp, poly in enumerate(polys):
             res.check(
                 f"i={i}:component-{comp}-poly",
@@ -245,20 +241,19 @@ def criterion_5_case1_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionRes
 
 def criterion_6_case2_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Trefoil seed: concordance invariants constant, Jones witness at i=1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(6, "case2-family", 300.0)
     steps = family(TREFOIL, 2)
     for i, step in enumerate(steps):
-        artin = step.word.expand_to_artin()
-        delta = alexander_of_word(artin)
+        delta = step.closure.alexander
         res.check(
             f"i={i}:alexander", delta.is_unit_equivalent(TREFOIL_DELTA), delta.format()
         )
-        sig = signature_of_word(artin)
+        sig = step.closure.signature
         res.check(f"i={i}:signature", sig == -2, f"sigma = {sig}")
     if budget >= steps[1].word.strands:
-        j0 = jones_tl(steps[0].word.expand_to_artin(), budget)
-        j1 = jones_tl(steps[1].word.expand_to_artin(), budget)
+        j0 = steps[0].closure.jones(budget)
+        j1 = steps[1].closure.jones(budget)
         witness = (
             not isinstance(j0, BudgetExceeded)
             and not isinstance(j1, BudgetExceeded)
@@ -282,7 +277,7 @@ def criterion_6_case2_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionRes
 
 def criterion_7_tie_ledger(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Full splice oracle suite over 50 random seeds."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(7, "tie-oracle-ledger", 300.0)
     rng = random.Random(RANDOM_SEED + 7)
     seeds = _random_sqp_words(rng, 50, require_non_unlink=True)
@@ -306,7 +301,7 @@ def criterion_8_tb(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Connected-sum arithmetic for the maximal Thurston-Bennequin number."""
     from .tie import tb_connected_sum
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = CriterionResult(8, "tb-arithmetic", 1.0)
     res.check("single", tb_connected_sum([-1]) == -1)
     for m in range(1, 11):

@@ -34,6 +34,7 @@ from .tie import (
     SelectionInvalidError,
     bundled_alpha,
     family,
+    family_ledger,
     trivial_annulus,
 )
 from .words import WordSyntaxError, parse_artin_word, parse_band_word
@@ -155,90 +156,17 @@ def cmd_family(args) -> int:
             {"name": c.name, "status": c.status, "detail": c.detail} for c in certs
         ]
         return _emit_error(env, args, str(exc), EXIT_ORACLE)
-    reports = []
     for step in steps:
         entry = step.to_json_dict()
-        report = full_report(step.word, with_jones=args.with_jones, budget=args.budget)
-        reports.append(report)
+        report = full_report(step.closure, with_jones=args.with_jones, budget=args.budget)
         entry["report"] = report.to_json_dict()
         env.family.append(entry)
     env.certificates = [
-        {"step": step.iteration, "name": c.name, "status": c.status, "detail": c.detail}
-        for step in steps
-        for c in step.certificates
+        {"step": s, "name": c.name, "status": c.status, "detail": c.detail}
+        for s, c in family_ledger(steps, annulus, args.with_jones, args.budget)
     ]
-    env.certificates.extend(_family_distinction_certificates(steps, reports, annulus))
     _emit(env.finish(), args, _print_family)
     return EXIT_OK
-
-
-def _family_distinction_certificates(steps, reports, annulus) -> list[dict]:
-    """Non-isotopy evidence rows: machine-checked where invariants reach,
-    otherwise explicitly tagged paper-cited, never guessed."""
-    certs: list[dict] = []
-    if len(steps) < 2:
-        return certs
-    if annulus.companion_alexander.is_unit_equivalent(LaurentPolynomial.one()):
-        certs.append(
-            {
-                "step": "all",
-                "name": "non-isotopy",
-                "status": "pass",
-                "detail": "trivial companion: the splice is a control and the "
-                "closures are isotopic; no distinction is claimed",
-            }
-        )
-        return certs
-    case = steps[0].selection.case
-    if case == "Case1":
-        polys = [
-            sorted(p.normalized().to_pairs() for p in r.component_polys)
-            for r in reports
-        ]
-        distinct = all(
-            polys[i] != polys[j] for i in range(len(polys)) for j in range(i + 1, len(polys))
-        )
-        certs.append(
-            {
-                "step": "all",
-                "name": "pairwise-non-isotopy",
-                "status": "pass" if distinct else "fail",
-                "detail": "component Alexander polynomials pairwise distinct",
-            }
-        )
-        return certs
-    for i in range(1, len(steps)):
-        a, b = reports[i - 1], reports[i]
-        if a.jones is not None and b.jones is not None and a.jones != b.jones:
-            certs.append(
-                {
-                    "step": i,
-                    "name": f"non-isotopy-{i - 1}-vs-{i}",
-                    "status": "pass",
-                    "detail": "Jones polynomials differ",
-                }
-            )
-        else:
-            certs.append(
-                {
-                    "step": i,
-                    "name": f"non-isotopy-{i - 1}-vs-{i}",
-                    "status": "paper-cited",
-                    "detail": "not machine-checked: relies on the cited satellite "
-                    "rigidity theorem for winding-zero patterns",
-                }
-            )
-    if len(steps) > 2:
-        certs.append(
-            {
-                "step": "i>=2",
-                "name": "pairwise-non-isotopy",
-                "status": "paper-cited",
-                "detail": "no computed invariant separates later steps; "
-                "distinctness is cited, not machine-checked",
-            }
-        )
-    return certs
 
 
 def cmd_selftest(args) -> int:

@@ -17,9 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
 from .laurent import LaurentPolynomial, int_det, laurent_det
 from .surface import euler_characteristic, first_betti, genus_profile, surface_graph
-from .words import ArtinWord, BandWord, underlying_permutation
+from .words import ArtinWord, BandWord, Permutation, underlying_permutation
 
 DEFAULT_JONES_BUDGET = 12
 
@@ -583,37 +585,111 @@ def _diagram_is_split(word: ArtinWord) -> bool:
     return any(k not in used for k in range(1, word.strands))
 
 
+class Closure:
+    """The closure of one word, with each invariant computed at most once.
+
+    Every field is lazy and cached on the record itself, so one record
+    costs one Seifert determinant and one signature however many callers
+    read it: the splice oracles of `tie`, the next step of `family`, the
+    reports and the certificate ledger. Nothing is cached outside the
+    record; it lives as long as whoever holds it.
+
+    Closure invariants are read off `simplified`, the Markov-reduced
+    diagram. A knot is its own only component, so `component_records`
+    of a knot is `(self,)`.
+    """
+
+    def __init__(self, word: BandWord | ArtinWord):
+        self.word = word
+        self._jones: dict[int, LaurentPolynomial | BudgetExceeded] = {}
+
+    @cached_property
+    def artin(self) -> ArtinWord:
+        word = self.word
+        return word.expand_to_artin() if isinstance(word, BandWord) else word
+
+    @cached_property
+    def simplified(self) -> ArtinWord:
+        return simplify_closure_word(self.artin)
+
+    @cached_property
+    def permutation(self) -> Permutation:
+        return underlying_permutation(self.word)
+
+    @cached_property
+    def linking(self) -> tuple[tuple[int, ...], ...]:
+        return linking_matrix(self.artin)
+
+    @cached_property
+    def seifert(self) -> SeifertMatrix:
+        return seifert_matrix(self.simplified)
+
+    @cached_property
+    def alexander(self) -> LaurentPolynomial:
+        # det(V - tV^T) is Delta only over a connected Seifert surface; a
+        # split diagram (some generator column empty) has a split closure,
+        # whose Alexander polynomial vanishes.
+        if _diagram_is_split(self.simplified):
+            return LaurentPolynomial.zero()
+        return alexander(self.seifert)
+
+    @cached_property
+    def signature(self) -> int:
+        return signature(self.seifert)
+
+    @cached_property
+    def determinant(self) -> int:
+        return abs(self.alexander.evaluate_int(-1))
+
+    @cached_property
+    def component_records(self) -> tuple[Closure, ...]:
+        """One record per closure component, in permutation-cycle order."""
+        count = self.permutation.cycle_count()
+        if count == 1:
+            return (self,)
+        return tuple(Closure(extract_component(self.artin, c)) for c in range(count))
+
+    def jones(self, budget: int = DEFAULT_JONES_BUDGET) -> LaurentPolynomial | BudgetExceeded:
+        """`jones_tl` of the word under `budget`, computed once per budget."""
+        if budget not in self._jones:
+            self._jones[budget] = jones_tl(self.artin, budget)
+        return self._jones[budget]
+
+
 def alexander_of_word(word: ArtinWord, presimplify: bool = True) -> LaurentPolynomial:
     """Seifert-pipeline Alexander polynomial of a closure.
 
-    det(V - tV^T) computes Delta only over a connected Seifert surface; a
-    split closed-braid diagram (some generator column empty) has a split
-    closure, whose Alexander polynomial vanishes.
+    With `presimplify` (the default) this is `Closure(word).alexander`;
+    without it, the determinant runs on the literal diagram of `word`.
     """
-    w = simplify_closure_word(word) if presimplify else word
-    if _diagram_is_split(w):
+    if presimplify:
+        return Closure(word).alexander
+    if _diagram_is_split(word):
         return LaurentPolynomial.zero()
-    return alexander(seifert_matrix(w))
+    return alexander(seifert_matrix(word))
 
 
 def signature_of_word(word: ArtinWord, presimplify: bool = True) -> int:
-    w = simplify_closure_word(word) if presimplify else word
-    return signature(seifert_matrix(w))
+    """Signature of a closure; `Closure(word).signature` with `presimplify`."""
+    return Closure(word).signature if presimplify else signature(seifert_matrix(word))
 
 
 def full_report(
-    word: BandWord | ArtinWord,
+    word: BandWord | ArtinWord | Closure,
     with_jones: bool = True,
     budget: int = DEFAULT_JONES_BUDGET,
 ) -> InvariantReport:
-    """Populate every invariant field for the closure of `word`."""
+    """Populate every invariant field for the closure of `word`.
+
+    Given a Closure, the report reads (and fills) that record's fields.
+    """
+    closure = word if isinstance(word, Closure) else Closure(word)
+    word = closure.word
     if isinstance(word, BandWord):
-        artin = word.expand_to_artin()
         chi = euler_characteristic(word)
         betti = first_betti(word)
         profile = tuple(genus_profile(word))
     else:
-        artin = word
         chi = word.strands - len(word.letters)
         graph = surface_graph(
             BandWord(word.strands, tuple((k, k + 1) for k, _ in word.letters))
@@ -621,39 +697,23 @@ def full_report(
         betti = graph.component_count - chi
         profile = ()
 
-    perm = underlying_permutation(artin)
-    linking = linking_matrix(artin)
-    delta = alexander_of_word(artin)
-    sig = signature_of_word(artin)
-    comp_polys = []
-    comp_flags = []
-    for comp in range(perm.cycle_count()):
-        sub = extract_component(artin, comp)
-        poly = alexander_of_word(sub)
-        comp_polys.append(poly)
-        comp_flags.append(slice_necessary(poly))
-    jones = None
-    exceeded = False
-    if with_jones:
-        result = jones_tl(artin, budget)
-        if isinstance(result, BudgetExceeded):
-            exceeded = True
-        else:
-            jones = result
+    comp_polys = tuple(c.alexander for c in closure.component_records)
+    jones = closure.jones(budget) if with_jones else None
+    exceeded = isinstance(jones, BudgetExceeded)
     return InvariantReport(
         word_text=word.to_text(),
-        artin_text=artin.to_text(),
+        artin_text=closure.artin.to_text(),
         strands=word.strands,
-        components=perm.cycle_count(),
+        components=closure.permutation.cycle_count(),
         chi=chi,
         betti=betti,
-        linking=linking,
-        alexander=delta,
-        signature=sig,
-        determinant=abs(delta.evaluate_int(-1)),
-        component_polys=tuple(comp_polys),
-        component_slice_flags=tuple(comp_flags),
-        jones=jones,
+        linking=closure.linking,
+        alexander=closure.alexander,
+        signature=closure.signature,
+        determinant=closure.determinant,
+        component_polys=comp_polys,
+        component_slice_flags=tuple(slice_necessary(p) for p in comp_polys),
+        jones=None if exceeded else jones,
         jones_budget_exceeded=exceeded,
         genus_profile=profile,
     )

@@ -302,8 +302,6 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynom
     integer unpacks to the exact determinant.
     """
     n = len(matrix)
-    if n == 0:
-        return LaurentPolynomial.one()
     min_exp = 0
     coeff_bound = 1
     for row in matrix:
@@ -316,39 +314,21 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynom
                 row_norm += sum(abs(c) for c in p.coeffs.values())
         coeff_bound *= max(row_norm, 1)
     bits = max(coeff_bound.bit_length() + 2, 4)
-    a = [[_pack(p, bits, min_exp) for p in row] for row in matrix]
-
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot is None:
-                return LaurentPolynomial()
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            row_i, row_k = a[i], a[k]
-            aik = row_i[k]
-            akk = row_k[k]
-            if aik:
-                for j in range(k + 1, n):
-                    row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
-                row_i[k] = 0
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (akk * row_i[j]) // prev
-        prev = a[k][k]
-    det = sign * a[n - 1][n - 1]
+    det = _bareiss([[_pack(p, bits, min_exp) for p in row] for row in matrix])
     return _unpack(det, bits).shift(min_exp * n) if det else LaurentPolynomial()
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix (Bareiss elimination)."""
-    n = len(matrix)
+    return _bareiss([list(row) for row in matrix])
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination; overwrites `a`. Every division is exact."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -358,15 +338,17 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
+        row_k = a[k]
+        akk = row_k[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
-            akk = a[k][k]
+            row_i = a[i]
+            aik = row_i[k]
             if aik:
                 for j in range(k + 1, n):
-                    a[i][j] = (akk * a[i][j] - aik * a[k][j]) // prev
-                a[i][k] = 0
+                    row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
+                row_i[k] = 0
             else:
                 for j in range(k + 1, n):
-                    a[i][j] = (akk * a[i][j]) // prev
-        prev = a[k][k]
+                    row_i[j] = (akk * row_i[j]) // prev
+        prev = akk
     return sign * a[n - 1][n - 1]

@@ -34,10 +34,10 @@ class ReportEnvelope:
     certificates: list[dict] = field(default_factory=list)
     error: dict | None = None
     timing_s: float = 0.0
-    _started: float = field(default_factory=time.time, repr=False)
+    _started: float = field(default_factory=time.perf_counter, repr=False)
 
     def finish(self) -> ReportEnvelope:
-        self.timing_s = round(time.time() - self._started, 3)
+        self.timing_s = round(time.perf_counter() - self._started, 3)
         return self
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .surface import is_unlink_surface, surface_graph, trace_boundary
+from .surface import TracingBugError, is_unlink_surface, surface_graph, trace_boundary
 from .words import BandWord
 
 
@@ -85,9 +85,13 @@ def classify_and_select(word: BandWord) -> BandSelection:
             non_bridge = graph.non_bridge_edges(comp)
             band = min(non_bridge)
             circles = [b for b, c in enumerate(trace.surface_component_of) if c == comp]
-            assert len(circles) == 1, "Case2 component must bound a single circle"
+            if len(circles) != 1:
+                raise TracingBugError(
+                    f"Case2 component {comp} bounds {len(circles)} circles, not one"
+                )
             sel = BandSelection("Case2", band, component=comp, boundary_knot=circles[0])
-            assert _verify(word, sel)
+            if not _verify(word, sel):
+                raise TracingBugError(f"selection {sel} fails its own defining property")
             return sel
     raise AssertionError("non-unlink surface with neither a Case1 nor a Case2 band")
 

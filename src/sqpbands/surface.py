@@ -166,7 +166,8 @@ def euler_characteristic(word: BandWord) -> int:
 def first_betti(word: BandWord) -> int:
     graph = surface_graph(word)
     b1 = graph.component_count - euler_characteristic(word)
-    assert b1 >= 0
+    if b1 < 0:
+        raise TracingBugError(f"negative first Betti number {b1} for {word}")
     return b1
 
 

@@ -1,0 +1,99 @@
+"""The per-closure record: one determinant per closure, same answers as the oracles."""
+
+import pytest
+
+from sqpbands import (
+    BandWord,
+    LaurentPolynomial,
+    alexander,
+    bundled_alpha,
+    burau_alexander_oracle,
+    extract_component,
+    family,
+    family_ledger,
+    full_report,
+    seifert_matrix,
+    signature,
+    simplify_closure_word,
+)
+from sqpbands import invariants
+from sqpbands.invariants import _diagram_is_split
+
+HOPF = BandWord(2, ((1, 2), (1, 2)))
+TREFOIL = BandWord(2, ((1, 2), (1, 2), (1, 2)))
+
+
+@pytest.fixture(scope="module")
+def families():
+    """family(seed, 2) and a report per step, with every laurent_det size seen."""
+    out = {}
+    original = invariants.laurent_det
+    for name, seed in (("trefoil", TREFOIL), ("hopf", HOPF)):
+        sizes = []
+
+        def spy(matrix, sizes=sizes):
+            sizes.append(len(matrix))
+            return original(matrix)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(invariants, "laurent_det", spy)
+            steps = family(seed, 2)
+            for step in steps:
+                full_report(step.closure, with_jones=False)
+        out[name] = (steps, sizes)
+    return out
+
+
+def test_trefoil_family_and_reports_take_one_determinant_per_closure(families):
+    _, sizes = families["trefoil"]
+    assert sorted(sizes) == [2, 54, 130]
+
+
+def test_hopf_family_takes_one_determinant_per_distinct_diagram(families):
+    steps, sizes = families["hopf"]
+    diagrams = set()
+    for step in steps:
+        artin = step.word.expand_to_artin()
+        comps = range(step.word.permutation.cycle_count())
+        for word in (artin, *(extract_component(artin, c) for c in comps)):
+            diagrams.add(simplify_closure_word(word))
+    needed = [
+        seifert_matrix(d).size
+        for d in diagrams
+        if not _diagram_is_split(d) and seifert_matrix(d).size
+    ]
+    assert sorted(sizes) == sorted(needed)
+
+
+@pytest.mark.parametrize("name", ["hopf", "trefoil"])
+def test_records_match_oracles_on_family_words(families, name):
+    steps, _ = families[name]
+    for step in steps:
+        closure = step.closure
+        artin = step.word.expand_to_artin()
+        comps = closure.component_records
+        words = [artin] + [extract_component(artin, c) for c in range(len(comps))]
+        for record, word in zip((closure, *comps), words):
+            assert record.alexander.is_unit_equivalent(burau_alexander_oracle(word))
+            reduced = simplify_closure_word(word)
+            v = seifert_matrix(reduced)
+            split = _diagram_is_split(reduced)
+            assert record.alexander == (LaurentPolynomial.zero() if split else alexander(v))
+            assert record.signature == signature(v)
+
+
+def test_family_ledger_reads_jones_from_the_records(families):
+    steps = families["trefoil"][0][:2]
+    rows = family_ledger(steps, bundled_alpha(), with_jones=True)
+    assert [(s, c.name) for s, c in rows] == [
+        (1, "a:euler"),
+        (1, "b:surface-components"),
+        (1, "c:boundary-components"),
+        (1, "d:linking"),
+        (1, "e:signature"),
+        (1, "f:alexander"),
+        (1, "non-isotopy-0-vs-1"),
+    ]
+    assert rows[-1][1].status == "pass"
+    starved = family_ledger(steps, bundled_alpha(), with_jones=True, budget=4)
+    assert starved[-1][1].status == "paper-cited"

@@ -96,3 +96,14 @@ def test_relocation_without_image_raises():
     sel = classify_and_select(TREFOIL)
     with pytest.raises(RelocationLostError):
         persistent_selection(sel, TREFOIL, {})
+
+
+def test_failed_self_check_raises_even_without_asserts(monkeypatch):
+    """The Case2 self-check is an explicit raise, so it survives python -O."""
+    import sys
+
+    from sqpbands.surface import TracingBugError
+
+    monkeypatch.setattr(sys.modules["sqpbands.selection"], "_verify", lambda word, sel: False)
+    with pytest.raises(TracingBugError):
+        classify_and_select(TREFOIL)

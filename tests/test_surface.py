@@ -108,3 +108,14 @@ def test_unlink_iff_betti_zero(word):
 def test_circle_cycle_map_is_bijection(word):
     trace = trace_boundary(word)
     assert sorted(trace.circle_of_cycle) == list(range(trace.count))
+
+
+def test_negative_betti_raises_even_without_asserts(monkeypatch):
+    import sys
+
+    from sqpbands.surface import TracingBugError
+
+    surface = sys.modules["sqpbands.surface"]
+    monkeypatch.setattr(surface, "euler_characteristic", lambda word: word.strands + 1)
+    with pytest.raises(TracingBugError):
+        first_betti(BandWord(2, ((1, 2),)))
