@@ -5,8 +5,8 @@ Usage: python scripts/family_demo.py [steps]
 
 Walks the two standard seeds (Hopf band and trefoil) plus a random
 5-strand seed, splicing the bundled slice-companion annulus `steps`
-times, and prints per-step strand counts, Alexander data, and the
-distinction evidence the invariants can certify.
+times, and prints each step's invariants from its closure record and
+the distinction rows of the family's certificate ledger.
 """
 
 from __future__ import annotations
@@ -15,18 +15,7 @@ import random
 import sys
 from time import perf_counter
 
-from sqpbands import (
-    BandWord,
-    alexander_of_word,
-    extract_component,
-    family,
-    is_unlink_surface,
-    jones_tl,
-    linking_matrix,
-    signature_of_word,
-    underlying_permutation,
-)
-from sqpbands.invariants import BudgetExceeded
+from sqpbands import BandWord, bundled_alpha, family, family_ledger, is_unlink_surface
 
 
 def show_family(name: str, seed: BandWord, steps: int) -> None:
@@ -34,34 +23,21 @@ def show_family(name: str, seed: BandWord, steps: int) -> None:
     t0 = perf_counter()
     results = family(seed, steps)
     print(f"   built with full oracle verification in {perf_counter() - t0:.1f}s")
-    jones_prev = None
     for step in results:
-        artin = step.word.expand_to_artin()
-        perm = underlying_permutation(artin)
-        delta = alexander_of_word(artin)
-        sigma = signature_of_word(artin)
+        closure = step.closure
+        count = closure.permutation.cycle_count()
         line = (
             f"   i={step.iteration}: B_{step.word.strands}, "
-            f"{len(step.word.letters)} letters, {perm.cycle_count()} component(s), "
-            f"sigma={sigma}, delta={delta.format()}"
+            f"{len(step.word.letters)} letters, {count} component(s), "
+            f"sigma={closure.signature}, delta={closure.alexander.format()}"
         )
-        if perm.cycle_count() > 1:
-            lk = linking_matrix(artin)
-            comp_polys = [
-                alexander_of_word(extract_component(artin, c)).format()
-                for c in range(perm.cycle_count())
-            ]
-            line += f", lk={lk[0][1]}, component deltas {comp_polys}"
-        jones = jones_tl(artin)
-        if not isinstance(jones, BudgetExceeded):
-            if jones_prev is not None:
-                verdict = "differs" if jones != jones_prev else "agrees"
-                line += f", Jones {verdict} from previous step"
-            jones_prev = jones
-        else:
-            jones_prev = None
-            line += f", Jones skipped ({jones.strands} strands)"
+        if count > 1:
+            comp_polys = [c.alexander.format() for c in closure.component_records]
+            line += f", lk={closure.linking[0][1]}, component deltas {comp_polys}"
         print(line)
+    for where, cert in family_ledger(results, bundled_alpha(), with_jones=True):
+        if "non-isotopy" in cert.name:
+            print(f"   {where}: {cert.name} {cert.status} ({cert.detail})")
     print()
 
 

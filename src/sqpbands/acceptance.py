@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from .invariants import (
     DEFAULT_JONES_BUDGET,
     BudgetExceeded,
-    alexander_of_word,
+    Closure,
     burau_alexander_oracle,
-    extract_component,
     full_report,
     jones_tl,
     kauffman_bracket_bruteforce,
-    linking_matrix,
     slice_necessary,
 )
 from .laurent import LaurentPolynomial
@@ -110,12 +108,11 @@ def criterion_1_alpha(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     trace = trace_boundary(alpha)
     res.check("boundary-circles", trace.count == 2)
     res.check("genus-profile", genus_profile(alpha) == [(0, 0, 2)], "annulus: g=0, b=2")
-    artin = alpha.expand_to_artin()
-    lk = linking_matrix(artin)
+    closure = Closure(alpha)
+    lk = closure.linking
     res.check("linking", lk[0][1] == 1, f"lk = {lk[0][1]}")
-    for comp in (0, 1):
-        sub = extract_component(artin, comp)
-        delta = alexander_of_word(sub)
+    for comp, record in enumerate(closure.component_records):
+        delta = record.alexander
         res.check(
             f"component-{comp}-alexander",
             delta.is_unit_equivalent(COMPANION_DELTA),
@@ -139,9 +136,9 @@ def criterion_2_oracles(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
         (f"random-{i}", w) for i, w in enumerate(_random_sqp_words(rng, 20))
     ]
     for name, word in words:
-        artin = word.expand_to_artin()
-        mine = alexander_of_word(artin)
-        ref = burau_alexander_oracle(artin)
+        closure = Closure(word)
+        mine = closure.alexander
+        ref = burau_alexander_oracle(closure.artin)
         res.check(f"alexander:{name}", mine.is_unit_equivalent(ref), mine.format())
     jones_checked = 0
     for entry in corpus:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .laurent import LaurentPolynomial, int_det, laurent_det
-from .surface import euler_characteristic, first_betti, genus_profile, surface_graph
+from .surface import euler_characteristic, first_betti, genus_profile
 from .words import ArtinWord, BandWord, Permutation, underlying_permutation
 
 DEFAULT_JONES_BUDGET = 12
@@ -47,10 +47,8 @@ DEFAULT_JONES_BUDGET = 12
 # The constants below were calibrated against the reduced Burau oracle
 # and the signature anchor (see tests/test_invariants.py); they are data.
 # _CROSS_AB["A"] is the ordered entry pair (V[x][y], V[y][x]) when x's
-# interval starts first, "B" when y's does; _SAME_UPPER_IS_POSITIVE picks
-# which of the two ordered same-column entries carries (e+1)/2.
+# interval starts first, "B" when y's does.
 _CROSS_AB = {"A": (0, -1), "B": (0, 1)}
-_SAME_UPPER_IS_POSITIVE = True
 
 
 @dataclass(frozen=True)
@@ -88,27 +86,23 @@ def seifert_matrix(word: ArtinWord) -> SeifertMatrix:
     """Seifert matrix of the closed-braid diagram of `word` (no reduction)."""
     cols = _columns(word)
     basis: list[tuple[int, int, int]] = []
-    signs: dict[int, tuple[int, int]] = {}
+    signs: list[tuple[int, int]] = []
     for k in sorted(cols):
         entries = cols[k]
         for (pa, ea), (pb, eb) in zip(entries, entries[1:]):
             basis.append((k, pa, pb))
-            signs[len(basis) - 1] = (ea, eb)
+            signs.append((ea, eb))
 
     m = len(basis)
     v = [[0] * m for _ in range(m)]
-    index = {brick: i for i, brick in enumerate(basis)}
-    for i, (k, pa, pb) in enumerate(basis):
+    for i, (k, _, _) in enumerate(basis):
         ea, eb = signs[i]
         v[i][i] = -(ea + eb) // 2
-        nxt = index.get((k, pb, _next_pos(cols[k], pb)))
-        if nxt is not None:
-            shared = eb
-            hi, lo = (shared + 1) // 2, (shared - 1) // 2
-            if not _SAME_UPPER_IS_POSITIVE:
-                hi, lo = lo, hi
-            v[i][nxt] = hi
-            v[nxt][i] = lo
+        # Bricks of one column are consecutive in the basis, so the brick
+        # sharing this one's later crossing is the next one, if any.
+        if i + 1 < m and basis[i + 1][0] == k:
+            v[i][i + 1] = (eb + 1) // 2
+            v[i + 1][i] = (eb - 1) // 2
     for i, (k, a, b) in enumerate(basis):
         for j, (k2, c, d) in enumerate(basis):
             if k2 != k + 1:
@@ -118,13 +112,6 @@ def seifert_matrix(word: ArtinWord) -> SeifertMatrix:
             elif c < a < d < b:
                 v[i][j], v[j][i] = _CROSS_AB["B"]
     return SeifertMatrix(tuple(tuple(row) for row in v), tuple(basis))
-
-
-def _next_pos(entries: list[tuple[int, int]], pos: int) -> int | None:
-    for (pa, _), (pb, _) in zip(entries, entries[1:]):
-        if pa == pos:
-            return pb
-    return None
 
 
 def alexander(v: SeifertMatrix) -> LaurentPolynomial:
@@ -656,24 +643,6 @@ class Closure:
         return self._jones[budget]
 
 
-def alexander_of_word(word: ArtinWord, presimplify: bool = True) -> LaurentPolynomial:
-    """Seifert-pipeline Alexander polynomial of a closure.
-
-    With `presimplify` (the default) this is `Closure(word).alexander`;
-    without it, the determinant runs on the literal diagram of `word`.
-    """
-    if presimplify:
-        return Closure(word).alexander
-    if _diagram_is_split(word):
-        return LaurentPolynomial.zero()
-    return alexander(seifert_matrix(word))
-
-
-def signature_of_word(word: ArtinWord, presimplify: bool = True) -> int:
-    """Signature of a closure; `Closure(word).signature` with `presimplify`."""
-    return Closure(word).signature if presimplify else signature(seifert_matrix(word))
-
-
 def full_report(
     word: BandWord | ArtinWord | Closure,
     with_jones: bool = True,
@@ -690,11 +659,10 @@ def full_report(
         betti = first_betti(word)
         profile = tuple(genus_profile(word))
     else:
+        # Seifert's surface of the diagram: one disk per strand, one band per
+        # letter; b1 = letters - used columns, the brick count.
         chi = word.strands - len(word.letters)
-        graph = surface_graph(
-            BandWord(word.strands, tuple((k, k + 1) for k, _ in word.letters))
-        )
-        betti = graph.component_count - chi
+        betti = len(word.letters) - len({k for k, _ in word.letters})
         profile = ()
 
     comp_polys = tuple(c.alexander for c in closure.component_records)

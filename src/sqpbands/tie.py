@@ -20,6 +20,7 @@ hard error, never ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .invariants import DEFAULT_JONES_BUDGET, BudgetExceeded, Closure, linking_matrix
 from .laurent import LaurentPolynomial
@@ -45,7 +46,7 @@ class Certificate:
     """One checked splice contract, for report ledgers."""
 
     name: str
-    status: str  # "pass" | "fail" | "paper-cited" | "skipped"
+    status: str  # "pass" | "fail" | "paper-cited"
     detail: str = ""
 
 
@@ -108,21 +109,31 @@ def bundled_alpha() -> AnnulusWord:
     Its surface is an annulus of the companion knot with one negative
     full twist (boundary circles link +1); each boundary circle is a
     knot with Alexander polynomial 2t^2 - 5t + 2 and determinant 9. The
-    designated band is the last letter, b(4,7).
+    designated band is the last letter, b(4,7). Built and validated once;
+    every call returns the same immutable object.
     """
+    return _alpha_annulus(ALPHA_LETTERS)
+
+
+# Keyed on the letters: a replaced ALPHA_LETTERS is built and validated
+# afresh, and no call gets an annulus built from other letters.
+@cache
+def _alpha_annulus(letters: tuple[tuple[int, int], ...]) -> AnnulusWord:
     return AnnulusWord(
-        word=BandWord(8, ALPHA_LETTERS),
+        word=BandWord(8, letters),
         designated_band=8,
         companion_name="m(9_46)",
         companion_alexander=_M946_ALEXANDER,
     )
 
 
+@cache
 def trivial_annulus() -> AnnulusWord:
     """Control object: the positive Hopf band, companion the unknot.
 
     Splicing it into any band is invariant-neutral, which the test suite
-    checks for every computed invariant including Jones.
+    checks for every computed invariant including Jones. Built once, like
+    `bundled_alpha`.
     """
     return AnnulusWord(
         word=BandWord(2, ((1, 2), (1, 2))),
@@ -190,19 +201,15 @@ def tie(
     target: BandWord | Closure,
     selection: BandSelection,
     iteration: int = 1,
-    verify: str = "full",
 ) -> TieResult:
     """Splice `annulus` into the selected band of `target`.
 
     Returns the new band word on strands(target) + strands(annulus)
-    together with the band relocation map. Post-conditions (a)-(f) are
-    asserted per `verify`: "full" checks all of them, "fast" only the
-    combinatorial ones (a)-(d); any failure raises OracleViolationError.
-    A target given as the Closure of a band word lends the oracles the
-    invariants it already holds.
+    together with the band relocation map. Every post-condition (a)-(f)
+    is checked; any failure raises OracleViolationError. A target given
+    as the Closure of a band word lends the oracles the invariants it
+    already holds.
     """
-    if verify not in ("full", "fast"):
-        raise ValueError(f"unknown verify mode {verify!r}")
     before = target if isinstance(target, Closure) else Closure(target)
     target = before.word
     if not _verify(target, selection):
@@ -239,7 +246,7 @@ def tie(
             relocation[t] = t + block_growth
 
     after = Closure(word)
-    certificates = _check_oracles(annulus, before, selection, after, verify)
+    certificates = _check_oracles(annulus, before, selection, after)
     return TieResult(
         word=word,
         band_relocation=relocation,
@@ -261,7 +268,6 @@ def _check_oracles(
     before: Closure,
     selection: BandSelection,
     after: Closure,
-    verify: str,
 ) -> tuple[Certificate, ...]:
     certs: list[Certificate] = []
     m = annulus.strands
@@ -313,11 +319,6 @@ def _check_oracles(
                 )
     certs.append(Certificate("d:linking", "pass", "matrix preserved under correspondence"))
 
-    if verify == "fast":
-        certs.append(Certificate("e:signature", "skipped", "fast verify"))
-        certs.append(Certificate("f:alexander", "skipped", "fast verify"))
-        return tuple(certs)
-
     sig_in = before.signature
     sig_out = after.signature
     if sig_in != sig_out:
@@ -365,7 +366,6 @@ def family(
     target: BandWord,
     count: int,
     annulus: AnnulusWord | None = None,
-    verify: str = "full",
 ) -> list[TieResult]:
     """Iterate the splice: F_0 = target, F_{i+1} = annulus (+) F_i.
 
@@ -394,7 +394,7 @@ def family(
     results = [seed]
     selection = seed.selection
     for i in range(1, count + 1):
-        step = tie(annulus, results[-1].closure, selection, iteration=i, verify=verify)
+        step = tie(annulus, results[-1].closure, selection, iteration=i)
         results.append(step)
         if i < count:
             selection = persistent_selection(selection, step.word, step.band_relocation)

@@ -7,9 +7,9 @@ from sqpbands import (
     ArtinWord,
     BandWord,
     BudgetExceeded,
+    Closure,
     LaurentPolynomial,
     alexander,
-    alexander_of_word,
     burau_alexander_oracle,
     extract_component,
     full_report,
@@ -57,7 +57,7 @@ def test_trefoil_seifert_matrix():
 
 
 def test_fig8_alexander():
-    assert alexander_of_word(FIG8).is_unit_equivalent(FIG8_DELTA)
+    assert Closure(FIG8).alexander.is_unit_equivalent(FIG8_DELTA)
 
 
 def test_matrix_size_is_betti_of_seifert_surface():
@@ -66,12 +66,25 @@ def test_matrix_size_is_betti_of_seifert_surface():
     comps = 1  # both columns used, so the surface is connected
     chi = word.strands - len(word)
     assert v.size == comps - chi
+    rng = random.Random(4242)
+    words = [word]
+    for i in range(40):
+        n = rng.randint(2, 6)
+        columns = list(range(1, n))
+        if i % 2 and n > 2:  # leave one column empty: a split Seifert surface
+            columns.remove(rng.choice(columns))
+        length = rng.randint(0, 10)
+        letters = tuple((rng.choice(columns), rng.choice((1, -1))) for _ in range(length))
+        words.append(ArtinWord(n, letters))
+    assert any(_diagram_is_split(w) for w in words)
+    for w in words:
+        assert full_report(w, with_jones=False).betti == seifert_matrix(w).size
 
 
 def test_alexander_via_extracted_alpha_component():
     alpha = parse_band_word(ALPHA_TEXT, 8).expand_to_artin()
     for comp in (0, 1):
-        delta = alexander_of_word(extract_component(alpha, comp))
+        delta = Closure(extract_component(alpha, comp)).alexander
         assert delta.is_unit_equivalent(COMPANION_DELTA)
         assert abs(delta.evaluate_int(-1)) == 9
 
@@ -138,20 +151,20 @@ def test_extract_components_cover_word(word):
 @given(artin_words())
 @settings(max_examples=60, deadline=None)
 def test_seifert_pipeline_matches_burau(word):
-    assert alexander_of_word(word).is_unit_equivalent(burau_alexander_oracle(word))
+    assert Closure(word).alexander.is_unit_equivalent(burau_alexander_oracle(word))
 
 
 @given(band_words(max_strands=6, max_len=9))
 @settings(max_examples=40, deadline=None)
 def test_seifert_pipeline_matches_burau_on_sqp(word):
     artin = word.expand_to_artin()
-    assert alexander_of_word(artin).is_unit_equivalent(burau_alexander_oracle(artin))
+    assert Closure(artin).alexander.is_unit_equivalent(burau_alexander_oracle(artin))
 
 
 @given(artin_words())
 @settings(max_examples=60, deadline=None)
 def test_knot_polynomial_properties(word):
-    delta = alexander_of_word(word)
+    delta = Closure(word).alexander
     comps = underlying_permutation(word).cycle_count()
     if not _diagram_is_split(simplify_closure_word(word)):
         assert delta.is_palindromic()
@@ -250,10 +263,10 @@ def test_frozen_entry_table_regression():
     rng = random.Random(123456)
     for _ in range(40):
         word = random_sqp_word(rng, max_strands=6, max_len=12).expand_to_artin()
-        assert alexander_of_word(word, presimplify=False).is_unit_equivalent(
-            burau_alexander_oracle(word)
-        )
-        if not _diagram_is_split(word):
+        split = _diagram_is_split(word)
+        literal = LaurentPolynomial.zero() if split else alexander(seifert_matrix(word))
+        assert literal.is_unit_equivalent(burau_alexander_oracle(word))
+        if not split:
             comps = underlying_permutation(word).cycle_count()
             di = seifert_matrix(word).intersection_determinant()
             assert (abs(di) == 1) if comps == 1 else (di == 0)

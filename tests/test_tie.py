@@ -9,17 +9,14 @@ from sqpbands import (
     OracleViolationError,
     SelectionInvalidError,
     UnlinkInputError,
-    alexander_of_word,
     bundled_alpha,
     classify_and_select,
     euler_characteristic,
-    extract_component,
     family,
     full_report,
     jones_tl,
     linking_matrix,
     persistent_selection,
-    signature_of_word,
     surface_graph,
     tb_connected_sum,
     tie,
@@ -62,6 +59,13 @@ def test_annulus_validation_rejects_non_annulus():
         replace(trivial_annulus(), word=TREFOIL)
 
 
+def test_bundled_alpha_is_built_once_and_still_validated():
+    assert bundled_alpha() is bundled_alpha()
+    assert trivial_annulus() is trivial_annulus()
+    with pytest.raises(ValueError):
+        replace(bundled_alpha(), designated_band=99)
+
+
 # -- single ties -----------------------------------------------------------
 
 
@@ -79,22 +83,21 @@ def test_trivial_tie_on_trefoil_is_invariant_neutral():
 def test_bundled_tie_on_hopf_case1():
     result = tie(bundled_alpha(), HOPF, classify_and_select(HOPF))
     assert result.word.strands == 10 and len(result.word.letters) == 10
-    artin = result.word.expand_to_artin()
-    assert underlying_permutation(artin).cycle_count() == 2
-    assert linking_matrix(artin)[0][1] == 1
-    for comp in (0, 1):
-        delta = alexander_of_word(extract_component(artin, comp))
-        assert delta.is_unit_equivalent(COMPANION_DELTA)
+    closure = result.closure
+    assert closure.permutation.cycle_count() == 2
+    assert closure.linking[0][1] == 1
+    for record in closure.component_records:
+        assert record.alexander.is_unit_equivalent(COMPANION_DELTA)
 
 
 def test_bundled_tie_on_trefoil_case2():
     result = tie(bundled_alpha(), TREFOIL, classify_and_select(TREFOIL))
     assert result.word.strands == 10
-    artin = result.word.expand_to_artin()
-    assert underlying_permutation(artin).cycle_count() == 1
-    assert alexander_of_word(artin).is_unit_equivalent(TREFOIL_DELTA)
-    assert signature_of_word(artin) == -2
-    assert jones_tl(artin) != jones_tl(TREFOIL.expand_to_artin())
+    closure = result.closure
+    assert closure.permutation.cycle_count() == 1
+    assert closure.alexander.is_unit_equivalent(TREFOIL_DELTA)
+    assert closure.signature == -2
+    assert jones_tl(result.word) != jones_tl(TREFOIL)
 
 
 def test_tie_relocation_map_shape():
@@ -120,13 +123,6 @@ def test_broken_template_trips_oracles():
         tie(bad, HOPF, classify_and_select(HOPF))
 
 
-def test_fast_verify_skips_expensive_oracles():
-    result = tie(bundled_alpha(), TREFOIL, classify_and_select(TREFOIL), verify="fast")
-    statuses = {c.name: c.status for c in result.certificates}
-    assert statuses["a:euler"] == "pass"
-    assert statuses["e:signature"] == "skipped"
-
-
 # -- families ---------------------------------------------------------------
 
 
@@ -145,19 +141,18 @@ def test_hopf_family_polynomial_growth():
     steps = family(HOPF, 2)
     assert [s.word.strands for s in steps] == [2, 10, 18]
     for i, step in enumerate(steps):
-        artin = step.word.expand_to_artin()
         want = (COMPANION_DELTA ** i).normalized()
-        for comp in (0, 1):
-            poly = alexander_of_word(extract_component(artin, comp))
-            assert poly.is_unit_equivalent(want)
+        records = step.closure.component_records
+        assert len(records) == 2
+        for record in records:
+            assert record.alexander.is_unit_equivalent(want)
 
 
 def test_trefoil_family_concordance_invariants():
     steps = family(TREFOIL, 2)
     for step in steps:
-        artin = step.word.expand_to_artin()
-        assert alexander_of_word(artin).is_unit_equivalent(TREFOIL_DELTA)
-        assert signature_of_word(artin) == -2
+        assert step.closure.alexander.is_unit_equivalent(TREFOIL_DELTA)
+        assert step.closure.signature == -2
 
 
 def test_family_selection_persists_through_relocations():
