@@ -207,15 +207,11 @@ def _emit_error(env: ReportEnvelope, args, message: str, code: int) -> int:
     return code
 
 
-def _emit(env: ReportEnvelope, args, printer=None) -> None:
+def _emit(env: ReportEnvelope, args, printer) -> None:
     if getattr(args, "json", False):
         print(env.to_json())
-    elif printer is not None:
-        printer(env)
     else:
-        for report in env.reports:
-            for key, value in report.items():
-                print(f"{key}: {value}")
+        printer(env)
 
 
 def _print_invariants(env: ReportEnvelope) -> None:

@@ -233,16 +233,21 @@ def extract_component(word: ArtinWord, component: int) -> ArtinWord:
 
 
 def _free_cancel(letters: list[tuple[int, int]]) -> bool:
-    """One pass of inverse-pair cancellation through commuting letters."""
+    """Delete one inverse pair that meets through commuting letters.
+
+    The word is read cyclically, as its closure is: the scan from each
+    letter runs on past the end and around to the start.
+    """
     n = len(letters)
     for i in range(n):
         k, e = letters[i]
-        for j in range(i + 1, n):
+        for step in range(1, n):
+            j = (i + step) % n
             k2, e2 = letters[j]
             if k2 == k:
                 if e2 == -e:
-                    del letters[j]
-                    del letters[i]
+                    del letters[max(i, j)]
+                    del letters[min(i, j)]
                     return True
                 break
             if abs(k2 - k) == 1:
@@ -253,11 +258,12 @@ def _free_cancel(letters: list[tuple[int, int]]) -> bool:
 def simplify_closure_word(word: ArtinWord) -> ArtinWord:
     """Shrink a diagram without changing its closure.
 
-    Applies free cancellation (through letters that commute), cyclic
-    rotation, and Markov destabilization at both ends. Every move is an
-    isotopy of the closure, so all closure invariants are untouched;
-    callers that need the literal input diagram (seifert_matrix on a
-    fixed surface, the oracle cross-checks) must not use this.
+    Applies cyclic free cancellation (through letters that commute, and
+    across the end of the word, which is a conjugation) and Markov
+    destabilization at both ends. Every move is an isotopy of the
+    closure, so all closure invariants are untouched; callers that need
+    the literal input diagram (seifert_matrix on a fixed surface, the
+    oracle cross-checks) must not use this.
     """
     letters = list(word.letters)
     strands = word.strands
@@ -266,13 +272,6 @@ def simplify_closure_word(word: ArtinWord) -> ArtinWord:
         changed = False
         while _free_cancel(letters):
             changed = True
-        if letters:
-            for rot in range(1, len(letters)):
-                rotated = letters[rot:] + letters[:rot]
-                if _free_cancel(rotated):
-                    letters = rotated
-                    changed = True
-                    break
         if letters:
             used = [k for k, _ in letters]
             top = strands - 1
@@ -293,59 +292,37 @@ def simplify_closure_word(word: ArtinWord) -> ArtinWord:
 # ---------------------------------------------------------------------------
 
 
-def _burau_generator(n: int, k: int, sign: int) -> list[list[LaurentPolynomial]]:
-    """Reduced Burau image of s_k^sign in B_n, an (n-1)x(n-1) matrix."""
-    one = LaurentPolynomial.one()
-    zero = LaurentPolynomial.zero()
-    m = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
-    i = k - 1  # 0-based row/col of the generator's own basis vector
-    if sign > 0:
-        m[i][i] = LaurentPolynomial({1: -1})
-        if i - 1 >= 0:
-            m[i][i - 1] = LaurentPolynomial({1: 1})
-        if i + 1 <= n - 2:
-            m[i][i + 1] = one
-    else:
-        m[i][i] = LaurentPolynomial({-1: -1})
-        if i - 1 >= 0:
-            m[i][i - 1] = one
-        if i + 1 <= n - 2:
-            m[i][i + 1] = LaurentPolynomial({-1: 1})
-    return m
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            acc = LaurentPolynomial.zero()
-            for s in range(n):
-                if a[r][s] and b[s][c]:
-                    acc = acc + a[r][s] * b[s][c]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def burau_alexander_oracle(word: ArtinWord) -> LaurentPolynomial:
     """Alexander polynomial from det(reduced Burau - I), up to units.
 
     Independent of the Seifert pipeline; used as its cross-check. Uses the
     identity det(rho(w) - I) = +- t^a (1 + t + .. + t^{n-1}) Delta(t).
+
+    rho starts as the identity and is updated in place per letter. The
+    reduced Burau image of s_k^e differs from the identity only in row
+    i = k - 1 (0-based), which reads (t, -t, 1) for e = +1 and
+    (1, -1/t, 1/t) for e = -1 around the diagonal; right-multiplying by
+    it rewrites columns i-1..i+1 of rho from column i alone, O(n)
+    polynomial operations per letter.
     """
     n = word.strands
     if n == 1:
         return LaurentPolynomial.one()
-    rho = None
+    one, zero = LaurentPolynomial.one(), LaurentPolynomial.zero()
+    rho = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
     for k, e in word.letters:
-        g = _burau_generator(n, k, e)
-        rho = g if rho is None else _mat_mul(rho, g)
-    if rho is None:
-        one = LaurentPolynomial.one()
-        zero = LaurentPolynomial.zero()
-        rho = [[one if r == c else zero for c in range(n - 1)] for r in range(n - 1)]
+        i = k - 1  # 0-based column of the generator's own basis vector
+        for row in rho:
+            x = row[i]
+            if not x:
+                continue
+            tx = x.shift(e)
+            left, right = (tx, x) if e > 0 else (x, tx)
+            row[i] = -tx
+            if i > 0:
+                row[i - 1] = row[i - 1] + left
+            if i < n - 2:
+                row[i + 1] = row[i + 1] + right
     for r in range(n - 1):
         rho[r][r] = rho[r][r] - 1
     det = laurent_det(rho)

@@ -46,11 +46,6 @@ class LaurentPolynomial:
     def term(cls, coeff: int, exp: int = 0) -> LaurentPolynomial:
         return cls({exp: coeff})
 
-    @classmethod
-    def from_int_coeffs(cls, coeffs: Sequence[int], min_exp: int = 0) -> LaurentPolynomial:
-        """Dense constructor: coeffs[i] is the coefficient of x^(min_exp+i)."""
-        return cls({min_exp + i: c for i, c in enumerate(coeffs)})
-
     # -- queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -145,12 +140,6 @@ class LaurentPolynomial:
         out = LaurentPolynomial.__new__(LaurentPolynomial)
         out.coeffs = {e + k: c for e, c in self.coeffs.items()}
         return out
-
-    def substitute_power(self, k: int) -> LaurentPolynomial:
-        """Return f(x^k); k may be negative."""
-        if k == 0:
-            raise ValueError("substitution exponent must be nonzero")
-        return LaurentPolynomial({e * k: c for e, c in self.coeffs.items()})
 
     def evaluate_int(self, x: int) -> int:
         """Evaluate at a nonzero integer (or at 0 when min_exp >= 0)."""

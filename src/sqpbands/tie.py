@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from .invariants import DEFAULT_JONES_BUDGET, BudgetExceeded, Closure, linking_matrix
+from .invariants import DEFAULT_JONES_BUDGET, BudgetExceeded, Closure
 from .laurent import LaurentPolynomial
 from .selection import BandSelection, _verify, classify_and_select, persistent_selection
 from .surface import euler_characteristic, is_unlink_surface, surface_graph, trace_boundary
@@ -56,11 +56,13 @@ class AnnulusWord:
 
     The word must bound an annulus: chi = 0, connected surface, two
     boundary circles with inter-circle linking +1 (one negative full
-    twist). `splice` gives the two replacement letters as (annulus_end,
-    target_end) pairs, where annulus ends are "a1"/"a2" (lower/upper disk
-    of the designated band) and target ends "p"/"q" (lower/upper disk of
-    the selected band); `marked` says which of the two inserted letters
-    stands in for the spliced band when the construction is iterated.
+    twist), each a knot whose Alexander polynomial is
+    `companion_alexander` up to units. `splice` gives the two
+    replacement letters as (annulus_end, target_end) pairs, where annulus
+    ends are "a1"/"a2" (lower/upper disk of the designated band) and
+    target ends "p"/"q" (lower/upper disk of the selected band); `marked`
+    says which of the two inserted letters stands in for the spliced band
+    when the construction is iterated.
     """
 
     word: BandWord
@@ -81,11 +83,19 @@ class AnnulusWord:
         trace = trace_boundary(self.word)
         if trace.count != 2:
             raise ValueError("annulus surface must have two boundary circles")
-        lk = linking_matrix(self.word.expand_to_artin())
+        closure = Closure(self.word)
+        lk = closure.linking
         if lk[0][1] != self.expected_linking:
             raise ValueError(
                 f"boundary circles link {lk[0][1]}, expected {self.expected_linking}"
             )
+        for comp, record in enumerate(closure.component_records):
+            if not record.alexander.is_unit_equivalent(self.companion_alexander):
+                raise ValueError(
+                    f"boundary circle {comp} has Alexander polynomial "
+                    f"{record.alexander.format()}, not the companion's "
+                    f"{self.companion_alexander.format()}"
+                )
         ends = sorted(e for pair in self.splice for e in pair)
         if ends != ["a1", "a2", "p", "q"]:
             raise ValueError(f"splice template must use each end once, got {self.splice}")

@@ -103,9 +103,6 @@ class ArtinWord:
     def exponent_sum(self) -> int:
         return sum(e for _, e in self.letters)
 
-    def inverse_count(self) -> int:
-        return sum(1 for _, e in self.letters if e < 0)
-
     @cached_property
     def permutation(self) -> Permutation:
         return Permutation.from_transpositions(
@@ -126,10 +123,6 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {self.images}")
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(1, n + 1)))
 
     @classmethod
     def from_transpositions(cls, n: int, pairs) -> Permutation:
@@ -179,9 +172,6 @@ class Permutation:
             if x in cycle:
                 return idx
         raise ValueError(f"{x} is not in 1..{self.size}")
-
-    def cycle_lengths(self) -> tuple[int, ...]:
-        return tuple(sorted(len(c) for c in self.cycles))
 
 
 def underlying_permutation(word: BandWord | ArtinWord) -> Permutation:

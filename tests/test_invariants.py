@@ -16,6 +16,7 @@ from sqpbands import (
     jones_tl,
     kauffman_bracket_bruteforce,
     linking_matrix,
+    parse_artin_word,
     parse_band_word,
     seifert_matrix,
     signature,
@@ -185,6 +186,12 @@ def test_simplification_preserves_closure_invariants(word):
         burau_alexander_oracle(word)
     )
     assert jones_tl(reduced, budget=8) == jones_tl(word, budget=8)
+
+
+def test_simplification_cancels_across_the_end_of_the_word():
+    # S1 and the final s1 meet only around the end of the closure.
+    word = parse_artin_word("S1 s2 s2 s1", 3)
+    assert simplify_closure_word(word) == parse_artin_word("s2 s2", 3)
 
 
 # -- Jones --------------------------------------------------------------

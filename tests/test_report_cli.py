@@ -155,6 +155,30 @@ def test_cli_family_annulus_file(tmp_path):
     assert payload["family"][1]["annulus"] == "unknot-from-file"
 
 
+def test_cli_family_annulus_file_with_wrong_companion_exits_1(tmp_path):
+    spec = {
+        "word": "b(1,2) b(1,2)",
+        "strands": 2,
+        "designated_band": 1,
+        "companion_name": "not-m946",
+        "companion_alexander": [[0, 2], [1, -5], [2, 2]],
+    }
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli(
+        "family",
+        "b(1,2) b(1,2) b(1,2)",
+        "--strands",
+        "2",
+        "--count",
+        "1",
+        "--annulus",
+        str(path),
+    )
+    assert r.returncode == 1
+    assert "Alexander" in r.stderr
+
+
 def test_cli_family_broken_template_exits_3(tmp_path):
     spec = {
         "word": "b(1,2) b(1,2)",

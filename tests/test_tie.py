@@ -66,6 +66,14 @@ def test_bundled_alpha_is_built_once_and_still_validated():
         replace(bundled_alpha(), designated_band=99)
 
 
+def test_annulus_validation_checks_the_companion_polynomial():
+    # b(4,7) -> b(4,6) keeps chi, connectivity, two circles and linking +1,
+    # but both boundary circles become unknots.
+    letters = bundled_alpha().word.letters[:-1] + ((4, 6),)
+    with pytest.raises(ValueError, match="Alexander"):
+        replace(bundled_alpha(), word=BandWord(8, letters))
+
+
 # -- single ties -----------------------------------------------------------
 
 
