@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .laurent import LaurentPolynomial, int_det, laurent_det
+from .laurent import LaurentPolynomial, _unpack, int_det, laurent_det
 from .surface import euler_characteristic, first_betti, genus_profile
 from .words import ArtinWord, BandWord, Permutation, underlying_permutation
 
@@ -354,41 +354,107 @@ def _apply_cap(matching: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ..
     Returns the new matching and whether a closed loop was created.
     """
     pa, pb = matching[a], matching[b]
-    new = list(matching)
     if pa == b:
-        return tuple(new), True
+        return matching, True
+    new = list(matching)
     new[pa], new[pb] = pb, pa
     new[a], new[b] = b, a
     return tuple(new), False
 
 
-def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
-    """Kauffman bracket of the closure via planar-matching transfer."""
+def _cap_tables(word: ArtinWord) -> tuple[dict[int, dict[int, int]], dict[int, int], int]:
+    """The memoized cap transitions of `word`'s transfer and its packing width.
+
+    Matchings of the 2n boundary points are numbered as they are first
+    reached, the identity being 0. tables[k][m] is the matching that a cap
+    on column k makes of matching m; one table per column serves every
+    letter of that column. A loop-closing cap leaves the matching as it
+    is, so its loop flag is `tables[k][m] == m`.
+
+    Returns the tables, the closure loop count of each matching reachable
+    after the last letter, and a width `bits` such that every coefficient
+    of every state, packed as in `_bracket_tl`, has magnitude below
+    2^(bits - 2). The bound sums each state's l1 path mass, doubling it on
+    a loop-closing cap (the weights have l1 norms 1, 1 and 2); the total
+    mass never decreases from letter to letter, so its final value, each
+    state's mass weighted by the 2^(loops - 1) of the closure, bounds
+    every coefficient ever formed.
+    """
     n = word.strands
     ident = tuple(range(n, 2 * n)) + tuple(range(n))
-    states: dict[tuple[int, ...], LaurentPolynomial] = {ident: LaurentPolynomial.one()}
-    a_pos = LaurentPolynomial({1: 1})
-    a_neg = LaurentPolynomial({-1: 1})
+    matchings = [ident]
+    index = {ident: 0}
+    tables: dict[int, dict[int, int]] = {}
+    mass = {0: 1}
+    for k, _ in word.letters:
+        table = tables.setdefault(k, {})
+        new = dict(mass)
+        for m, w in mass.items():
+            t = table.get(m)
+            if t is None:
+                target, _ = _apply_cap(matchings[m], n + k - 1, n + k)
+                t = table[m] = index.setdefault(target, len(matchings))
+                if t == len(matchings):
+                    matchings.append(target)
+            new[t] = new.get(t, 0) + (w << (t == m))
+        mass = new
+    loops = {m: _closure_loops(matchings[m], n) for m in mass}
+    bits = sum(w << (loops[m] - 1) for m, w in mass.items()).bit_length() + 2
+    return tables, loops, bits
+
+
+def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
+    """Kauffman bracket of the closure via planar-matching transfer.
+
+    States are matchings, numbered by `_cap_tables`. Each state's
+    coefficient is a polynomial in B = A^2, Kronecker-packed into one
+    Python int at B = 2^bits; one A power is kept for all states.
+    Factoring A^-3 (e > 0) or A^-1 (e < 0) out of a letter's weights makes
+    the straight, cap and loop-closing-cap weights B^2, B, -(B^2 + 1) or
+    1, B, -(B^2 + 1), so a letter costs only shifts, adds and negations.
+    After each letter the B-digits that are zero in every state are
+    shifted out, which is exact. At the closure
+    Delta^j = (-1)^j A^(-2j) (B^2 + 1)^j.
+    """
+    tables, loops, bits = _cap_tables(word)
+    two = 2 * bits
+    states = {0: 1}
+    a_exp = 0  # A power factored out of every state
+    low = 0  # B-digits shifted out of every state
     for k, e in word.letters:
-        top_a, top_b = n + k - 1, n + k
-        new_states: dict[tuple[int, ...], LaurentPolynomial] = {}
-        straight, capped = (a_pos, a_neg) if e > 0 else (a_neg, a_pos)
-        for matching, coeff in states.items():
-            cur = new_states.get(matching)
-            add = coeff * straight
-            new_states[matching] = add if cur is None else cur + add
-            new_m, loop = _apply_cap(matching, top_a, top_b)
-            add = coeff * capped
-            if loop:
-                add = add * _DELTA
-            cur = new_states.get(new_m)
-            new_states[new_m] = add if cur is None else cur + add
-        states = {m: c for m, c in new_states.items() if not c.is_zero()}
-    total = LaurentPolynomial.zero()
-    for matching, coeff in states.items():
-        loops = _closure_loops(matching, n)
-        total = total + coeff * _DELTA ** (loops - 1)
-    return total
+        table = tables[k]
+        if e > 0:
+            a_exp -= 3
+            new = {m: v << two for m, v in states.items()}
+        else:
+            a_exp -= 1
+            new = dict(states)
+        for m, v in states.items():
+            t = table[m]
+            new[t] = new.get(t, 0) + (-((v << two) + v) if t == m else v << bits)
+        seen = 0
+        for v in new.values():
+            seen |= v
+        zeros = ((seen & -seen).bit_length() - 1) // bits
+        if zeros:
+            low += zeros
+            for m, v in new.items():
+                new[m] = v >> zeros * bits
+        states = new
+
+    top = max(loops[m] for m in states) - 1
+    powers = [1]  # (B^2 + 1)^j, packed
+    for _ in range(top):
+        powers.append(powers[-1] * ((1 << two) + 1))
+    total = 0
+    for m, v in states.items():
+        j = loops[m] - 1
+        term = v * powers[j] << (top - j) * bits
+        total += -term if j & 1 else term
+    a_exp -= 2 * top
+    return LaurentPolynomial(
+        {a_exp + 2 * (low + d): c for d, c in _unpack(total, bits).coeffs.items()}
+    )
 
 
 def _closure_loops(matching: tuple[int, ...], n: int) -> int:
@@ -425,6 +491,9 @@ def jones_tl(
     Exponents are quarter powers of t (integral multiples of 4 for knots).
     Refuses with a typed BudgetExceeded when the input word has more
     strands than `budget`; the planar-matching state space is Catalan(n).
+    The transfer (`_bracket_tl`) keeps each state's coefficient as one
+    Kronecker-packed int in A^2, at a width proved sufficient by a first
+    pass over the memoized cap transitions, so the answer is exact.
     """
     artin = word.expand_to_artin() if isinstance(word, BandWord) else word
     if artin.strands > budget:
@@ -565,7 +634,6 @@ class Closure:
 
     def __init__(self, word: BandWord | ArtinWord):
         self.word = word
-        self._jones: dict[int, LaurentPolynomial | BudgetExceeded] = {}
 
     @cached_property
     def artin(self) -> ArtinWord:
@@ -613,11 +681,18 @@ class Closure:
             return (self,)
         return tuple(Closure(extract_component(self.artin, c)) for c in range(count))
 
+    @cached_property
+    def _jones(self) -> LaurentPolynomial:
+        return jones_tl(self.artin, self.artin.strands)
+
     def jones(self, budget: int = DEFAULT_JONES_BUDGET) -> LaurentPolynomial | BudgetExceeded:
-        """`jones_tl` of the word under `budget`, computed once per budget."""
-        if budget not in self._jones:
-            self._jones[budget] = jones_tl(self.artin, budget)
-        return self._jones[budget]
+        """`jones_tl` of the word under `budget`; the transfer runs at most once.
+
+        A budget below the strand count is refused without computing.
+        """
+        if self.artin.strands > budget:
+            return BudgetExceeded(self.artin.strands, budget)
+        return self._jones
 
 
 def full_report(

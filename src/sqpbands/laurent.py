@@ -100,7 +100,7 @@ class LaurentPolynomial:
         return out
 
     def __sub__(self, other: LaurentPolynomial | int) -> LaurentPolynomial:
-        return self + (-other if isinstance(other, LaurentPolynomial) else -other)
+        return self + (-other)
 
     def __rsub__(self, other: int) -> LaurentPolynomial:
         return (-self) + other

@@ -4,6 +4,7 @@ import pytest
 
 from sqpbands import (
     BandWord,
+    BudgetExceeded,
     LaurentPolynomial,
     alexander,
     bundled_alpha,
@@ -97,3 +98,20 @@ def test_family_ledger_reads_jones_from_the_records(families):
     assert rows[-1][1].status == "pass"
     starved = family_ledger(steps, bundled_alpha(), with_jones=True, budget=4)
     assert starved[-1][1].status == "paper-cited"
+
+
+def test_jones_runs_the_transfer_once_per_closure(monkeypatch):
+    calls = []
+    original = invariants.jones_tl
+
+    def spy(word, budget):
+        calls.append(budget)
+        return original(word, budget)
+
+    monkeypatch.setattr(invariants, "jones_tl", spy)
+    record = invariants.Closure(TREFOIL)
+    refused = record.jones(1)
+    assert refused == BudgetExceeded(2, 1) and calls == []
+    first = record.jones(2)
+    assert record.jones() is first and record.jones(40) is first
+    assert len(calls) == 1

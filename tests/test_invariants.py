@@ -209,13 +209,31 @@ def test_jones_hopf_positive():
     assert jones_tl(HOPF) == LaurentPolynomial({2: -1, 10: -1})  # -t^1/2 - t^5/2
 
 
+def test_jones_of_trivial_braids_is_a_power_of_the_loop_value():
+    # The closure of the empty word on n strands is the n-component unlink.
+    loop = LaurentPolynomial({2: -1, -2: -1})  # -t^(1/2) - t^(-1/2)
+    for n in range(1, 7):
+        assert jones_tl(ArtinWord(n, ())) == loop ** (n - 1)
+
+
+def test_jones_of_step_1_trefoil_family_word():
+    # family(trefoil, 1)[1].word: 10 strands, 63 Artin letters.
+    word = parse_band_word(
+        "b(1,6) b(3,8) b(2,5) b(1,4) b(3,7) b(2,6) b(5,8) b(7,10) b(4,9) b(9,10) b(9,10)", 10
+    )
+    assert jones_tl(word) == LaurentPolynomial({
+        0: 1, 12: 1, 16: -1, 20: -1, 32: 2, 36: -2, 40: 2, 48: -1,
+        52: 1, 56: -1, 64: -1, 68: 1, 80: -1, 84: 2, 88: -1,
+    })  # fmt: skip
+
+
 def test_jones_budget_refusal():
     result = jones_tl(ArtinWord(13, ()), budget=12)
     assert isinstance(result, BudgetExceeded)
     assert result.strands == 13 and result.budget == 12
 
 
-@given(artin_words(max_strands=4, max_len=8))
+@given(artin_words(max_strands=5, max_len=10))
 @settings(max_examples=40, deadline=None)
 def test_jones_tl_matches_bruteforce(word):
     assert jones_tl(word, budget=8) == kauffman_bracket_bruteforce(word)
