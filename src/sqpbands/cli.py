@@ -53,14 +53,22 @@ def _annulus_from_arg(kind: str) -> AnnulusWord:
         return trivial_annulus()
     with open(kind) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{kind}: an annulus file must hold a JSON object")
+    for key in ("word", "strands", "designated_band", "companion_alexander"):
+        if key not in data:
+            raise ValueError(f"{kind}: annulus file has no {key!r} field")
+    for key in ("strands", "designated_band", "expected_linking", "marked"):
+        if type(data.get(key, 0)) is not int:
+            raise ValueError(f"{kind}: annulus field {key!r} must be an integer")
     return AnnulusWord(
-        word=parse_band_word(data["word"], int(data["strands"])),
-        designated_band=int(data["designated_band"]),
+        word=parse_band_word(data["word"], data["strands"]),
+        designated_band=data["designated_band"],
         companion_name=data.get("companion_name", kind),
         companion_alexander=LaurentPolynomial.from_pairs(data["companion_alexander"]),
-        expected_linking=int(data.get("expected_linking", 1)),
+        expected_linking=data.get("expected_linking", 1),
         splice=tuple(tuple(p) for p in data.get("splice", (("a2", "q"), ("a1", "p")))),
-        marked=int(data.get("marked", 0)),
+        marked=data.get("marked", 0),
     )
 
 
@@ -124,7 +132,7 @@ def cmd_invariants(args) -> int:
                 raise WordSyntaxError("--svg draws band diagrams; give a band word")
             with open(args.svg, "w") as fh:
                 fh.write(band_diagram_svg(word))
-    except WordSyntaxError as exc:
+    except (WordSyntaxError, OSError) as exc:
         return _emit_error(env, args, str(exc), EXIT_INPUT)
     except TracingBugError as exc:
         return _emit_error(env, args, str(exc), EXIT_ORACLE)

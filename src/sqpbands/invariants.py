@@ -1,10 +1,11 @@
 """Exact link invariants of braid closures.
 
-Everything here is integer/rational arithmetic: Seifert matrices from the
-closed-braid diagram, Alexander polynomials det(V - tV^T), signatures by
-rational congruence diagonalization, linking matrices from signed crossing
-counts, component extraction, and the Jones polynomial via Temperley-Lieb
-transfer with a brute-force Kauffman state-sum as an independent oracle.
+Everything here is integer arithmetic: Seifert matrices from the closed-braid
+diagram, Alexander polynomials det(V - tV^T), signatures by fraction-free
+congruence elimination on the determinants' Bareiss step (`laurent._eliminate`),
+linking matrices from signed crossing counts, component extraction, and the
+Jones polynomial via Temperley-Lieb transfer with a brute-force Kauffman
+state-sum as an independent oracle.
 
 Sign conventions are calibrated once against two anchors and then frozen:
 the closure of s1^3 is the right-handed trefoil with signature -2, and the
@@ -16,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
-from .laurent import LaurentPolynomial, _unpack, int_det, laurent_det
+from .laurent import LaurentPolynomial, _eliminate, _unpack, int_det, laurent_det
 from .surface import euler_characteristic, first_betti, genus_profile
 from .words import ArtinWord, BandWord, Permutation, underlying_permutation
 
@@ -131,43 +131,29 @@ def alexander(v: SeifertMatrix) -> LaurentPolynomial:
 
 
 def signature(v: SeifertMatrix) -> int:
-    """Signature of V + V^T by exact rational congruence diagonalization."""
+    """Signature of V + V^T by Bareiss elimination with diagonal pivots: pivot
+    k is a principal minor D_k, and D_k / D_(k-1) (D_0 = 1) is the k-th entry
+    of a congruent diagonal form."""
     n = v.size
-    m = [
-        [Fraction(v.matrix[i][j] + v.matrix[j][i]) for j in range(n)]
-        for i in range(n)
-    ]
-    pos = neg = 0
-    live = list(range(n))
+    m = [[v.matrix[i][j] + v.matrix[j][i] for j in range(n)] for i in range(n)]
+    sigma, prev, live = 0, 1, list(range(n))
     while live:
         pivot = next((p for p in live if m[p][p]), None)
         if pivot is None:
-            off = next(
-                ((p, q) for p in live for q in live if q != p and m[p][q]), None
-            )
+            off = next(((p, q) for p in live for q in live if q != p and m[p][q]), None)
             if off is None:
                 break  # remaining block is zero: contributes nothing
-            p, q = off
-            for r in range(n):
-                m[p][r] += m[q][r]
-            for r in range(n):
-                m[r][p] += m[r][q]
-            pivot = p
+            # Congruence x_pivot += x_q: the zero diagonal makes the pivot 2 m[pivot][q].
+            pivot, q = off
+            for r in live:
+                m[pivot][r] += m[q][r]
+                m[r][pivot] += m[r][q]
         d = m[pivot][pivot]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        sigma += 1 if (d > 0) == (prev > 0) else -1
         live.remove(pivot)
-        for r in live:
-            if m[r][pivot]:
-                f = m[r][pivot] / d
-                for c in live:
-                    m[r][c] -= f * m[pivot][c]
-                m[r][pivot] = Fraction(0)
-        for c in live:
-            m[pivot][c] = Fraction(0)
-    return pos - neg
+        _eliminate(m, pivot, live, prev)
+        prev = d
+    return sigma
 
 
 # ---------------------------------------------------------------------------

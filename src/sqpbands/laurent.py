@@ -9,7 +9,8 @@ only; the arithmetic never needs fractional exponents).
 Determinants of Laurent-entry matrices are computed by fraction-free
 Bareiss elimination after Kronecker-packing each entry into a single
 Python integer (t -> 2^b for b past the coefficient bound), so the inner
-loop runs on machine big-ints instead of dict-based polynomials.
+loop runs on machine big-ints instead of dict-based polynomials. The
+elimination step, `_eliminate`, also serves `invariants.signature`.
 """
 
 from __future__ import annotations
@@ -313,13 +314,9 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
 
 
 def _bareiss(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss
-    elimination; overwrites `a`. Every division is exact."""
+    """Determinant by Bareiss elimination with row pivoting; overwrites `a`."""
     n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
+    sign = prev = 1
     for k in range(n - 1):
         if not a[k][k]:
             pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
@@ -327,17 +324,24 @@ def _bareiss(a: list[list[int]]) -> int:
                 return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
-        row_k = a[k]
-        akk = row_k[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            if aik:
-                for j in range(k + 1, n):
-                    row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
-                row_i[k] = 0
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (akk * row_i[j]) // prev
-        prev = akk
-    return sign * a[n - 1][n - 1]
+        _eliminate(a, k, range(k + 1, n), prev)
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _eliminate(a: list[list[int]], p: int, live: Sequence[int], prev: int) -> None:
+    """a[r][c] <- (a[p][p] a[r][c] - a[r][p] a[p][c]) / prev for r, c in `live`,
+    prev being the last pivot (or 1), then a[r][p] <- 0. Each result is a minor
+    of the input (Sylvester's identity), so the division is exact (Bareiss, 1968)."""
+    row_p = a[p]
+    app = row_p[p]
+    for r in live:
+        row_r = a[r]
+        arp = row_r[p]
+        if arp:
+            for c in live:
+                row_r[c] = (app * row_r[c] - arp * row_p[c]) // prev
+            row_r[p] = 0  # a spent multiplier would keep its big-int alive
+        else:
+            for c in live:
+                row_r[c] = (app * row_r[c]) // prev

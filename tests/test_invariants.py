@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqpbands import (
     ArtinWord,
@@ -9,6 +10,7 @@ from sqpbands import (
     BudgetExceeded,
     Closure,
     LaurentPolynomial,
+    SeifertMatrix,
     alexander,
     burau_alexander_oracle,
     extract_component,
@@ -91,8 +93,6 @@ def test_alexander_via_extracted_alpha_component():
 
 
 def test_signature_hyperbolic_zero_diagonal():
-    from sqpbands import SeifertMatrix
-
     v = SeifertMatrix(((0, 1), (0, 0)), ((1, 1, 2), (1, 2, 3)))
     assert signature(v) == 0  # V + V^T is the hyperbolic pairing
 
@@ -114,6 +114,83 @@ def test_signature_anchors():
     assert signature(seifert_matrix(FIG8)) == 0
     assert signature(seifert_matrix(HOPF)) == -1
     assert signature(seifert_matrix(ArtinWord(2, ((1, 1),) * 5))) == -4
+
+
+# Independent signature oracle: no elimination at all. The characteristic
+# polynomial of a symmetric matrix is real-rooted, so Descartes' rule of
+# signs counts its positive and negative roots exactly.
+
+
+def _charpoly(s):
+    """Coefficients c_0..c_n of det(xI - s) by Faddeev-LeVerrier over ints."""
+    n = len(s)
+    c = [0] * n + [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(s[i][l] * m[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            m[i][i] += c[n - k + 1]
+        c[n - k] = -sum(s[i][l] * m[l][i] for i in range(n) for l in range(n)) // k
+    return c
+
+
+def _sign_changes(coeffs):
+    signs = [x > 0 for x in coeffs if x]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def signature_oracle(v: SeifertMatrix) -> int:
+    n = v.size
+    c = _charpoly([[v.matrix[i][j] + v.matrix[j][i] for j in range(n)] for i in range(n)])
+    return _sign_changes(c) - _sign_changes([x if i % 2 == 0 else -x for i, x in enumerate(c)])
+
+
+def _upper_half(s):
+    """A SeifertMatrix V with V + V^T = s (s symmetric, even diagonal)."""
+    n = len(s)
+    rows = tuple(
+        tuple(s[i][i] // 2 if i == j else s[i][j] if i < j else 0 for j in range(n))
+        for i in range(n)
+    )
+    return SeifertMatrix(rows, tuple((0, i, i + 1) for i in range(n)))
+
+
+@st.composite
+def folding_forms(draw):
+    """Symmetric forms whose elimination reaches an all-zero live diagonal
+    after a first pivot d != 1, so the fold runs with prev = d."""
+    d = draw(st.sampled_from((-4, -2, 2, 4)))
+    ks = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=7))
+    n = len(ks) + 1
+    s = [[0] * n for _ in range(n)]
+    s[0][0] = d
+    for i, k in enumerate(ks, start=1):
+        # Schur complement diagonal: d k^2 - (d k)^2 / d = 0.
+        s[0][i] = s[i][0] = d * k
+        s[i][i] = d * k * k
+        for j in range(i + 1, n):
+            s[i][j] = s[j][i] = draw(st.integers(-3, 3))
+    return _upper_half(s)
+
+
+def test_signature_oracle_anchors():
+    assert signature_oracle(seifert_matrix(TREFOIL)) == -2
+    assert signature_oracle(seifert_matrix(FIG8)) == 0
+    # Fold after the pivot 2: the Schur complement is [[0, 1], [1, 0]].
+    assert signature_oracle(_upper_half([[2, 2, 2], [2, 2, 3], [2, 3, 2]])) == 1
+
+
+@given(artin_words(max_strands=6, max_len=30))
+@settings(max_examples=60, deadline=None)
+def test_signature_matches_charpoly_oracle(word):
+    v = seifert_matrix(word)
+    assert signature(v) == signature_oracle(v)
+
+
+@given(folding_forms())
+@settings(max_examples=100, deadline=None)
+def test_signature_matches_charpoly_oracle_after_fold(v):
+    assert signature(v) == signature_oracle(v)
 
 
 # -- linking matrix and components -------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sqpbands import full_report, parse_band_word
 from sqpbands.report import ReportEnvelope, compare_with_expected, load_corpus
 from sqpbands.svg import band_diagram_svg
@@ -100,6 +102,18 @@ def test_cli_invariants_svg(tmp_path):
     assert text.startswith("<svg") and "</svg>" in text
 
 
+def test_cli_invariants_unwritable_svg_exits_1(tmp_path):
+    out = tmp_path / "missing-dir" / "x.svg"
+    r = run_cli(
+        "invariants", "b(1,3) b(2,3)", "--strands", "3", "--no-jones", "--svg", str(out),
+        "--json",
+    )
+    assert r.returncode == 1
+    payload = json.loads(r.stdout)
+    assert payload["error"]["exit_code"] == 1
+    assert "missing-dir" in payload["error"]["message"]
+
+
 def test_cli_family_trivial_control():
     r = run_cli(
         "family",
@@ -177,6 +191,41 @@ def test_cli_family_annulus_file_with_wrong_companion_exits_1(tmp_path):
     )
     assert r.returncode == 1
     assert "Alexander" in r.stderr
+
+
+_GOOD_ANNULUS = {
+    "word": "b(1,2) b(1,2)",
+    "strands": 2,
+    "designated_band": 1,
+    "companion_alexander": [[0, 1]],
+}
+
+
+def _without(key):
+    return {k: v for k, v in _GOOD_ANNULUS.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ([_GOOD_ANNULUS], "JSON object"),
+        (_without("designated_band"), "designated_band"),
+        (_without("companion_alexander"), "companion_alexander"),
+        ({**_GOOD_ANNULUS, "strands": [2]}, "strands"),
+    ],
+    ids=["list", "no-designated-band", "no-companion-alexander", "non-integer-strands"],
+)
+def test_cli_family_malformed_annulus_file_exits_1(tmp_path, spec, field):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    r = run_cli(
+        "family", "b(1,2) b(1,2) b(1,2)", "--strands", "2", "--count", "1",
+        "--annulus", str(path), "--json",
+    )
+    assert r.returncode == 1, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["error"]["exit_code"] == 1
+    assert field in payload["error"]["message"]
 
 
 def test_cli_family_broken_template_exits_3(tmp_path):
