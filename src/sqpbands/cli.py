@@ -46,6 +46,14 @@ EXIT_ASSERTION = 2
 EXIT_ORACLE = 3
 
 
+def _is_pairs(value: object, kind: type) -> bool:
+    """True for a JSON list of two-element lists whose items are all `kind`."""
+    return isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(type(x) is kind for x in p)
+        for p in value
+    )
+
+
 def _annulus_from_arg(kind: str) -> AnnulusWord:
     if kind == "bundled":
         return bundled_alpha()
@@ -61,6 +69,18 @@ def _annulus_from_arg(kind: str) -> AnnulusWord:
     for key in ("strands", "designated_band", "expected_linking", "marked"):
         if type(data.get(key, 0)) is not int:
             raise ValueError(f"{kind}: annulus field {key!r} must be an integer")
+    if not isinstance(data["word"], str):
+        raise ValueError(f"{kind}: annulus field 'word' must be a string")
+    if not _is_pairs(data["companion_alexander"], int):
+        raise ValueError(
+            f"{kind}: annulus field 'companion_alexander' must be a list of "
+            "[exponent, coefficient] integer pairs"
+        )
+    if not _is_pairs(data.get("splice", []), str):
+        raise ValueError(
+            f"{kind}: annulus field 'splice' must be a list of "
+            "[annulus end, target end] string pairs"
+        )
     return AnnulusWord(
         word=parse_band_word(data["word"], data["strands"]),
         designated_band=data["designated_band"],

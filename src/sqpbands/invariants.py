@@ -1,11 +1,12 @@
 """Exact link invariants of braid closures.
 
 Everything here is integer arithmetic: Seifert matrices from the closed-braid
-diagram, Alexander polynomials det(V - tV^T), signatures by fraction-free
-congruence elimination on the determinants' Bareiss step (`laurent._eliminate`),
-linking matrices from signed crossing counts, component extraction, and the
-Jones polynomial via Temperley-Lieb transfer with a brute-force Kauffman
-state-sum as an independent oracle.
+diagram, Alexander polynomials det(V - tV^T) and signatures of V + V^T,
+both by the sparse fraction-free Bareiss kernel `laurent._Elimination`
+(row pivots for the determinant, diagonal pivots and a congruence fold
+for the signature), linking matrices from signed crossing counts,
+component extraction, and the Jones polynomial via Temperley-Lieb
+transfer with a brute-force Kauffman state-sum as an independent oracle.
 
 Sign conventions are calibrated once against two anchors and then frozen:
 the closure of s1^3 is the right-handed trefoil with signature -2, and the
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .laurent import LaurentPolynomial, _eliminate, _unpack, int_det, laurent_det
+from .laurent import LaurentPolynomial, _Elimination, _unpack, int_det, laurent_det
 from .surface import euler_characteristic, first_betti, genus_profile
 from .words import ArtinWord, BandWord, Permutation, underlying_permutation
 
@@ -119,13 +120,9 @@ def alexander(v: SeifertMatrix) -> LaurentPolynomial:
     n = v.size
     if n == 0:
         return LaurentPolynomial.one()
-    vt = v.transposed()
+    m = v.matrix
     entries = [
-        [
-            LaurentPolynomial({0: v.matrix[i][j], 1: -vt[i][j]})
-            for j in range(n)
-        ]
-        for i in range(n)
+        [LaurentPolynomial({0: m[i][j], 1: -m[j][i]}) for j in range(n)] for i in range(n)
     ]
     return laurent_det(entries).normalized()
 
@@ -133,25 +130,28 @@ def alexander(v: SeifertMatrix) -> LaurentPolynomial:
 def signature(v: SeifertMatrix) -> int:
     """Signature of V + V^T by Bareiss elimination with diagonal pivots: pivot
     k is a principal minor D_k, and D_k / D_(k-1) (D_0 = 1) is the k-th entry
-    of a congruent diagonal form."""
+    of a congruent diagonal form. When the live diagonal is all zero, a
+    congruence x_p += x_q with a[p][q] != 0 makes the pivot 2 a[p][q]."""
     n = v.size
-    m = [[v.matrix[i][j] + v.matrix[j][i] for j in range(n)] for i in range(n)]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for i, row in enumerate(v.matrix):
+        for j, x in enumerate(row):
+            if x:
+                rows[i][j] = rows[i].get(j, 0) + x
+                rows[j][i] = rows[j].get(i, 0) + x
+    rows = [{j: x for j, x in row.items() if x} for row in rows]
+    elim = _Elimination(rows)
     sigma, prev, live = 0, 1, list(range(n))
     while live:
-        pivot = next((p for p in live if m[p][p]), None)
+        pivot = next((p for p in live if p in rows[p]), None)
         if pivot is None:
-            off = next(((p, q) for p in live for q in live if q != p and m[p][q]), None)
-            if off is None:
+            pivot = next((p for p in live if rows[p]), None)
+            if pivot is None:
                 break  # remaining block is zero: contributes nothing
-            # Congruence x_pivot += x_q: the zero diagonal makes the pivot 2 m[pivot][q].
-            pivot, q = off
-            for r in live:
-                m[pivot][r] += m[q][r]
-                m[r][pivot] += m[r][q]
-        d = m[pivot][pivot]
-        sigma += 1 if (d > 0) == (prev > 0) else -1
+            elim.fold(pivot, min(rows[pivot]))
         live.remove(pivot)
-        _eliminate(m, pivot, live, prev)
+        d = elim.pivot(pivot, pivot)
+        sigma += 1 if (d > 0) == (prev > 0) else -1
         prev = d
     return sigma
 
@@ -470,21 +470,23 @@ def _jones_from_bracket(bracket: LaurentPolynomial, writhe: int) -> LaurentPolyn
 
 
 def jones_tl(
-    word: ArtinWord | BandWord, budget: int = DEFAULT_JONES_BUDGET
+    word: ArtinWord | BandWord | Closure, budget: int = DEFAULT_JONES_BUDGET
 ) -> LaurentPolynomial | BudgetExceeded:
     """Jones polynomial of the closure, normalized to 1 on the unknot.
 
     Exponents are quarter powers of t (integral multiples of 4 for knots).
     Refuses with a typed BudgetExceeded when the input word has more
     strands than `budget`; the planar-matching state space is Catalan(n).
-    The transfer (`_bracket_tl`) keeps each state's coefficient as one
-    Kronecker-packed int in A^2, at a width proved sufficient by a first
-    pass over the memoized cap transitions, so the answer is exact.
+    The transfer (`_bracket_tl`) runs on the record's simplified diagram
+    and keeps each state's coefficient as one Kronecker-packed int in A^2,
+    at a width proved sufficient by a first pass over the memoized cap
+    transitions, so the answer is exact. Given a Closure, it reads (and
+    fills) that record's simplified diagram.
     """
-    artin = word.expand_to_artin() if isinstance(word, BandWord) else word
-    if artin.strands > budget:
-        return BudgetExceeded(artin.strands, budget)
-    reduced = simplify_closure_word(artin)
+    closure = word if isinstance(word, Closure) else Closure(word)
+    if closure.strands > budget:
+        return BudgetExceeded(closure.strands, budget)
+    reduced = closure.simplified
     return _jones_from_bracket(_bracket_tl(reduced), reduced.exponent_sum())
 
 
@@ -626,6 +628,11 @@ class Closure:
         word = self.word
         return word.expand_to_artin() if isinstance(word, BandWord) else word
 
+    @property
+    def strands(self) -> int:
+        """The input diagram's strand count, on which Jones budgets are checked."""
+        return self.artin.strands
+
     @cached_property
     def simplified(self) -> ArtinWord:
         return simplify_closure_word(self.artin)
@@ -669,15 +676,15 @@ class Closure:
 
     @cached_property
     def _jones(self) -> LaurentPolynomial:
-        return jones_tl(self.artin, self.artin.strands)
+        return jones_tl(self, self.strands)
 
     def jones(self, budget: int = DEFAULT_JONES_BUDGET) -> LaurentPolynomial | BudgetExceeded:
         """`jones_tl` of the word under `budget`; the transfer runs at most once.
 
         A budget below the strand count is refused without computing.
         """
-        if self.artin.strands > budget:
-            return BudgetExceeded(self.artin.strands, budget)
+        if self.strands > budget:
+            return BudgetExceeded(self.strands, budget)
         return self._jones
 
 

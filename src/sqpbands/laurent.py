@@ -8,14 +8,18 @@ only; the arithmetic never needs fractional exponents).
 
 Determinants of Laurent-entry matrices are computed by fraction-free
 Bareiss elimination after Kronecker-packing each entry into a single
-Python integer (t -> 2^b for b past the coefficient bound), so the inner
-loop runs on machine big-ints instead of dict-based polynomials. The
-elimination step, `_eliminate`, also serves `invariants.signature`.
+Python integer (t -> 2^b for b past the unit-circle Hadamard bound on the
+determinant's coefficients), so the inner loop runs on machine big-ints
+instead of dict-based polynomials. The elimination, `_Elimination`, keeps
+rows sparse, touches only the rows nonzero in the pivot column and scales
+the others lazily; it serves `int_det`, `laurent_det` and
+`invariants.signature`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+import math
+from collections.abc import Iterable, Mapping, Sequence
 
 
 class LaurentPolynomial:
@@ -233,15 +237,13 @@ class LaurentPolynomial:
         """Human-readable form; exp_scale divides exponents (4 for q = t^1/4)."""
         if self.is_zero():
             return "0"
-        import math as _math
-
         parts = []
         for e, c in reversed(self.coeffs.items()):
             num, rem = divmod(e, exp_scale) if exp_scale != 1 else (e, 0)
             if rem == 0:
                 es = str(num)
             else:
-                g = _math.gcd(abs(e), exp_scale)
+                g = math.gcd(abs(e), exp_scale)
                 es = f"{e // g}/{exp_scale // g}"
             if e == 0:
                 body = str(abs(c))
@@ -285,15 +287,17 @@ def _unpack(value: int, bits: int) -> LaurentPolynomial:
 def laurent_det(matrix: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynomial:
     """Exact determinant of a square matrix over Z[x, x^-1].
 
-    Kronecker-packs entries at x = 2^b where b exceeds the Hadamard-style
-    bound prod_rows(sum_j |entry|_1) on any coefficient of the determinant,
-    then runs integer Bareiss elimination (all divisions exact). Intermediate
-    values are packed images of genuine polynomial minors, so the final
-    integer unpacks to the exact determinant.
+    Kronecker-packs entries at x = 2^b and runs the integer elimination of
+    `_Elimination`. Every coefficient of the determinant is at most the
+    unit-circle Hadamard bound sqrt(prod_i sum_j |p_ij|_1^2): a coefficient
+    is bounded by max over |x| = 1 of |det M(x)|, which is at most the
+    product of the rows' 2-norms there, and |p(x)| <= |p|_1 on |x| = 1. The
+    integer elimination is exact at any width, so only the final
+    determinant has to fit, and b past that bound unpacks it exactly.
     """
     n = len(matrix)
     min_exp = 0
-    coeff_bound = 1
+    square_bound = 1
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
@@ -301,47 +305,138 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynom
         for p in row:
             if p.coeffs:
                 min_exp = min(min_exp, p.min_exp())
-                row_norm += sum(abs(c) for c in p.coeffs.values())
-        coeff_bound *= max(row_norm, 1)
-    bits = max(coeff_bound.bit_length() + 2, 4)
-    det = _bareiss([[_pack(p, bits, min_exp) for p in row] for row in matrix])
+                row_norm += sum(abs(c) for c in p.coeffs.values()) ** 2
+        square_bound *= max(row_norm, 1)
+    bits = max(math.isqrt(square_bound).bit_length() + 2, 4)
+    rows = [
+        {j: _pack(p, bits, min_exp) for j, p in enumerate(row) if p.coeffs}
+        for row in matrix
+    ]
+    det = _det(rows)
     return _unpack(det, bits).shift(min_exp * n) if det else LaurentPolynomial()
 
 
 def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
-    return _bareiss([list(row) for row in matrix])
+    """Exact determinant of an integer matrix (sparse Bareiss elimination)."""
+    return _det([{j: x for j, x in enumerate(row) if x} for row in matrix])
 
 
-def _bareiss(a: list[list[int]]) -> int:
-    """Determinant by Bareiss elimination with row pivoting; overwrites `a`."""
-    n = len(a)
-    sign = prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
+def _det(rows: list[dict[int, int]]) -> int:
+    """Determinant of the square matrix with these sparse rows, by
+    `_Elimination` with row pivoting: column k is eliminated by the
+    shortest live row nonzero there. Consumes `rows`."""
+    elim = _Elimination(rows)
+    position = list(range(len(rows)))  # where each row stands after the swaps
+    at = list(range(len(rows)))  # which row stands at each position
+    sign = d = 1
+    for k in range(len(rows)):
+        live = elim.cols.get(k)
+        if not live:
+            return 0
+        p = min(live, key=lambda r: (len(rows[r]), r))
+        if position[p] != k:
+            q = at[k]
+            at[k], at[position[p]] = p, q
+            position[q], position[p] = position[p], k
             sign = -sign
-        _eliminate(a, k, range(k + 1, n), prev)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+        d = elim.pivot(p, k)
+    return sign * d
 
 
-def _eliminate(a: list[list[int]], p: int, live: Sequence[int], prev: int) -> None:
-    """a[r][c] <- (a[p][p] a[r][c] - a[r][p] a[p][c]) / prev for r, c in `live`,
-    prev being the last pivot (or 1), then a[r][p] <- 0. Each result is a minor
-    of the input (Sylvester's identity), so the division is exact (Bareiss, 1968)."""
-    row_p = a[p]
-    app = row_p[p]
-    for r in live:
-        row_r = a[r]
-        arp = row_r[p]
-        if arp:
-            for c in live:
-                row_r[c] = (app * row_r[c] - arp * row_p[c]) // prev
-            row_r[p] = 0  # a spent multiplier would keep its big-int alive
+class _Elimination:
+    """Fraction-free (Bareiss) elimination on sparse integer rows.
+
+    rows[r] is a {column: value} dict of row r's nonzero entries and
+    cols[c] the set of live rows nonzero in column c. A pivot step on
+    entry (p, k) replaces each live entry by
+    (a[p][k] a[r][c] - a[r][k] a[p][c]) / prev, prev being the previous
+    pivot (Bareiss, 1968); by Sylvester's identity the result is a minor
+    of the input, so the division is exact. Only rows nonzero in column k
+    are touched, and only over the union of their support and row p's.
+
+    A row with a[r][k] = 0 would only be scaled by a[p][k] / prev, and
+    these factors telescope, so it is left where it is: level[r] records
+    the step it was last written at. Updating such a row divides by the
+    pivot of its own level instead of by prev, which gives the same exact
+    minor; `read` brings a row to the current level with one exact
+    row * d_now // d_then. The pivot row is read before each step.
+
+    `pivot` serves `_det` (row pivoting) and `invariants.signature`
+    (diagonal pivots on a symmetric form, with `fold` when the live
+    diagonal is zero).
+    """
+
+    __slots__ = ("rows", "cols", "level", "pivots")
+
+    def __init__(self, rows: list[dict[int, int]]):
+        self.rows = rows
+        self.cols: dict[int, set[int]] = {}
+        for r, row in enumerate(rows):
+            for c in row:
+                self.cols.setdefault(c, set()).add(r)
+        self.level = [0] * len(rows)
+        self.pivots = [1]  # pivots[j]: the pivot of step j, with pivots[0] = 1
+
+    def read(self, r: int) -> dict[int, int]:
+        """Row r brought to the current level (its dense Bareiss values)."""
+        row = self.rows[r]
+        then, now = self.level[r], len(self.pivots) - 1
+        if then != now:
+            d_then, d_now = self.pivots[then], self.pivots[now]
+            for c, x in row.items():
+                row[c] = x * d_now // d_then
+            self.level[r] = now
+        return row
+
+    def pivot(self, p: int, k: int) -> int:
+        """Eliminate column k with row p, which then leaves; returns the pivot."""
+        rows, cols, level, pivots = self.rows, self.cols, self.level, self.pivots
+        row_p = self.read(p)
+        d = row_p[k]
+        for c in row_p:
+            cols[c].discard(p)
+        rows[p] = None
+        top = len(pivots)
+        for r in cols.pop(k):
+            row_r = rows[r]
+            prev = pivots[level[r]]
+            arp = row_r.pop(k)
+            new = {}
+            for c, x in row_r.items():
+                y = row_p.get(c)
+                if y is None:
+                    new[c] = d * x // prev
+                else:
+                    v = (d * x - arp * y) // prev
+                    if v:
+                        new[c] = v
+                    else:
+                        cols[c].discard(r)
+            for c, y in row_p.items():
+                if c not in row_r and c != k:
+                    new[c] = -arp * y // prev
+                    cols[c].add(r)
+            rows[r] = new
+            level[r] = top
+        pivots.append(d)
+        return d
+
+    def fold(self, p: int, q: int) -> None:
+        """Congruence x_p += x_q on a symmetric form: row q is added to row p
+        and column q to column p. With a zero diagonal at p and q the new
+        diagonal entry at p is 2 a[p][q]."""
+        rows, cols = self.rows, self.cols
+        row_p, row_q = self.read(p), self.read(q)
+        for c, y in row_q.items():
+            self._add(row_p, p, c, y)
+        for r in list(cols[q]):
+            self._add(rows[r], r, p, rows[r][q])
+
+    def _add(self, row: dict[int, int], r: int, c: int, y: int) -> None:
+        v = row.get(c, 0) + y
+        if v:
+            row[c] = v
+            self.cols.setdefault(c, set()).add(r)
         else:
-            for c in live:
-                row_r[c] = (app * row_r[c]) // prev
+            row.pop(c, None)
+            self.cols[c].discard(r)

@@ -115,3 +115,18 @@ def test_jones_runs_the_transfer_once_per_closure(monkeypatch):
     first = record.jones(2)
     assert record.jones() is first and record.jones(40) is first
     assert len(calls) == 1
+
+
+def test_closure_simplifies_its_diagram_once(monkeypatch):
+    calls = []
+    original = invariants.simplify_closure_word
+
+    def spy(word):
+        calls.append(word)
+        return original(word)
+
+    monkeypatch.setattr(invariants, "simplify_closure_word", spy)
+    record = invariants.Closure(TREFOIL)
+    record.alexander, record.signature, record.jones()
+    full_report(record)
+    assert len(calls) == 1

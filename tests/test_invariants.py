@@ -14,6 +14,7 @@ from sqpbands import (
     alexander,
     burau_alexander_oracle,
     extract_component,
+    family,
     full_report,
     jones_tl,
     kauffman_bracket_bruteforce,
@@ -193,6 +194,37 @@ def test_signature_matches_charpoly_oracle_after_fold(v):
     assert signature(v) == signature_oracle(v)
 
 
+def _stale_folding_form(rng):
+    """S = A^T B A with B = diag(d1, d2, H), H symmetric with zero diagonal,
+    and A unit upper triangular with random entries only in rows 0 and 1.
+    The elimination pivots d1 and then d1 d2; its live Schur complement is
+    then H, so it folds. Rows with A[0][i] = 0 skip the first update and
+    rows with A[1][i] = 0 the second, so the fold and the later pivots read
+    rows left at older levels, and sigma(S) = sign d1 + sign d2 + sigma(H)."""
+    n = rng.randint(4, 10)
+    b = [[0] * n for _ in range(n)]
+    b[0][0], b[1][1] = rng.choice((-6, -4, -2, 2, 4, 6)), rng.choice((-6, -4, -2, 2, 4, 6))
+    for i in range(2, n):
+        for j in range(i + 1, n):
+            b[i][j] = b[j][i] = rng.choice((0, 0, -1, 1, -3, 3))
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    a[0][1] = rng.randint(-3, 3)
+    for i in range(2, n):
+        a[0][i] = rng.choice((0, rng.randint(-3, 3)))
+        a[1][i] = rng.choice((0, rng.randint(-3, 3)))
+    ba = [[sum(b[i][l] * a[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    return _upper_half(
+        [[sum(a[l][i] * ba[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    )
+
+
+def test_signature_matches_charpoly_oracle_on_stale_rows_at_the_fold():
+    rng = random.Random(17)
+    for _ in range(300):
+        v = _stale_folding_form(rng)
+        assert signature(v) == signature_oracle(v)
+
+
 # -- linking matrix and components -------------------------------------
 
 
@@ -230,6 +262,18 @@ def test_extract_components_cover_word(word):
 @settings(max_examples=60, deadline=None)
 def test_seifert_pipeline_matches_burau(word):
     assert Closure(word).alexander.is_unit_equivalent(burau_alexander_oracle(word))
+
+
+@pytest.mark.parametrize("seed", ["b(1,2) b(1,2) b(1,2)", "b(1,2) b(1,2)"])
+def test_seifert_pipeline_matches_burau_on_step_3_family_words(seed):
+    steps = family(parse_band_word(seed, 2), 3)
+    assert steps[-1].closure.seifert.size > 200
+    for step in steps:
+        artin = step.closure.artin
+        comps = step.closure.component_records
+        words = [artin] + [extract_component(artin, c) for c in range(len(comps))]
+        for record, word in zip((step.closure, *comps), words):
+            assert record.alexander.is_unit_equivalent(burau_alexander_oracle(word))
 
 
 @given(band_words(max_strands=6, max_len=9))

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,3 +113,93 @@ def test_laurent_det_matches_cofactor_expansion(n, data):
         return total
 
     assert laurent_det(matrix) == cofactor(matrix)
+
+
+def _fraction_det(m):
+    """Dense Gaussian elimination over Fraction: no Bareiss step, no sparsity."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for c in range(k, n):
+                a[r][c] -= f * a[k][c]
+    return int(det)
+
+
+def _zero_pivot_matrix(rng):
+    """A random square matrix whose elimination meets zero pivots: a zeroed
+    diagonal, zeroed leading column blocks, and sometimes a repeated row."""
+    n = rng.randint(1, 9)
+    density = rng.choice((0.2, 0.5, 0.9))
+    lo, hi = rng.choice(((-1, 1), (-3, 3), (-50, 50)))
+    m = [[rng.randint(lo, hi) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        if rng.random() < 0.5:
+            m[i][i] = 0
+    k = rng.randrange(n)
+    for r in range(rng.randrange(n)):
+        m[r][k] = 0
+    if n > 1 and rng.random() < 0.1:
+        m[rng.randrange(n)] = list(m[rng.randrange(n)])
+    return m
+
+
+def test_int_det_matches_fraction_elimination_with_zero_pivots():
+    rng = random.Random(9)
+    zero_pivots = 0
+    for _ in range(2000):
+        m = _zero_pivot_matrix(rng)
+        zero_pivots += not m[0][0]
+        assert int_det(m) == _fraction_det(m), m
+    assert zero_pivots > 500
+
+
+def _sylvester_hadamard(n):
+    h = [[1]]
+    while len(h) < n:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_laurent_det_unpacks_where_the_unit_circle_bound_is_attained(n):
+    # Rows c_i x^e_i (h_i1, ..., h_in) of a Hadamard matrix h: every row has
+    # 2-norm |c_i| sqrt(n) on |x| = 1, so the determinant's one coefficient,
+    # prod c_i * n^(n/2) up to sign, equals the bound the packing width is
+    # taken from. Diagonal matrices (each c_i x^e_i alone) attain it too.
+    rng = random.Random(n)
+    h = _sylvester_hadamard(n)
+    for _ in range(20):
+        cs = [rng.choice((-1, 1)) * rng.choice((1, 2, 3, 7, 2**5, 2**31 - 1)) for _ in range(n)]
+        es = [rng.randint(-3, 3) for _ in range(n)]
+        monomial = [LaurentPolynomial({e: c}) for c, e in zip(cs, es)]
+        rows = [[m * x for x in row] for m, row in zip(monomial, h)]
+        diagonal = [
+            [monomial[i] if i == j else LaurentPolynomial() for j in range(n)]
+            for i in range(n)
+        ]
+        product = 1
+        for c in cs:
+            product *= c
+        assert laurent_det(diagonal) == LaurentPolynomial({sum(es): product})
+        assert laurent_det(rows) == LaurentPolynomial({sum(es): product * int_det(h)})
+        assert abs(int_det(h)) == round(n ** (n / 2))
+
+
+def test_laurent_det_unpacks_a_power_of_two_at_the_bound():
+    # |det| = 2^m exactly: a width of bit_length(bound) alone would read the
+    # positive coefficient back as -2^m.
+    for m in range(1, 12):
+        matrix = [
+            [LaurentPolynomial({0: 2}) if i == j else LaurentPolynomial() for j in range(m)]
+            for i in range(m)
+        ]
+        assert laurent_det(matrix) == LaurentPolynomial({0: 2**m})

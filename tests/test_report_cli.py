@@ -212,8 +212,19 @@ def _without(key):
         (_without("designated_band"), "designated_band"),
         (_without("companion_alexander"), "companion_alexander"),
         ({**_GOOD_ANNULUS, "strands": [2]}, "strands"),
+        ({**_GOOD_ANNULUS, "companion_alexander": 5}, "companion_alexander"),
+        ({**_GOOD_ANNULUS, "splice": 3}, "splice"),
+        ({**_GOOD_ANNULUS, "word": 7}, "word"),
     ],
-    ids=["list", "no-designated-band", "no-companion-alexander", "non-integer-strands"],
+    ids=[
+        "list",
+        "no-designated-band",
+        "no-companion-alexander",
+        "non-integer-strands",
+        "non-list-companion-alexander",
+        "non-list-splice",
+        "non-string-word",
+    ],
 )
 def test_cli_family_malformed_annulus_file_exits_1(tmp_path, spec, field):
     path = tmp_path / "malformed.json"
