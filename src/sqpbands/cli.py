@@ -24,7 +24,6 @@ from .surface import (
     TracingBugError,
     first_betti,
     genus_profile,
-    surface_graph,
     trace_boundary,
 )
 from .svg import band_diagram_svg
@@ -106,7 +105,7 @@ def cmd_validate(args) -> int:
                 "boundary_components": trace.count,
                 "betti": first_betti(word),
                 "genus_profile": [list(g) for g in genus_profile(word)],
-                "surface_graph": surface_graph(word).to_json_dict(),
+                "surface_graph": trace.graph.to_json_dict(),
                 "boundary_trace": trace.to_json_dict(),
             }
         )

@@ -151,20 +151,15 @@ class LaurentPolynomial:
         if self.is_zero():
             return 0
         lo = self.min_exp()
-        if x == 0:
-            if lo < 0:
-                raise ZeroDivisionError("evaluating negative power at 0")
-            return self.coeffs.get(0, 0)
         total = 0
         for e, c in self.coeffs.items():
             total += c * x ** (e - lo)
-        whole = total * x ** lo if lo >= 0 else total
-        if lo < 0:
-            num, den = total, x ** (-lo)
-            if num % den:
-                raise ValueError("evaluation is not an integer")
-            whole = num // den
-        return whole
+        if lo >= 0:
+            return total * x ** lo
+        num, den = total, x ** (-lo)
+        if num % den:
+            raise ValueError("evaluation is not an integer")
+        return num // den
 
     def divide_exact(self, other: LaurentPolynomial) -> LaurentPolynomial:
         """Exact division; raises ValueError if there is a remainder."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .surface import TracingBugError, is_unlink_surface, surface_graph, trace_boundary
+from .surface import BoundaryTrace, TracingBugError, is_unlink_surface, trace_boundary
 from .words import BandWord
 
 
@@ -45,21 +45,30 @@ class BandSelection:
             raise ValueError(f"unknown case tag {self.case!r}")
 
 
+def _select(
+    word: BandWord, trace: BoundaryTrace, case: str, band: int
+) -> BandSelection | None:
+    """The `case` selection of `band` in `word` (traced as `trace`), or None.
+
+    Case 1 asks that the band's sides lie on different circles. Case 2
+    asks that they do not, that the band lies on a cycle of the
+    retraction graph, and that its surface component bounds one circle.
+    """
+    if not 1 <= band <= len(word.letters):
+        return None
+    if case == "Case1":
+        return BandSelection("Case1", band) if trace.sides_split(band) else None
+    graph = trace.graph
+    comp = graph.component_of[word.letters[band - 1][0] - 1]
+    circles = [b for b, c in enumerate(trace.surface_component_of) if c == comp]
+    if len(circles) != 1 or trace.sides_split(band) or not graph.on_cycle(band):
+        return None
+    return BandSelection("Case2", band, component=comp, boundary_knot=circles[0])
+
+
 def _verify(word: BandWord, selection: BandSelection) -> bool:
     """Re-check the defining property of a selection against a word."""
-    if not 1 <= selection.band <= len(word.letters):
-        return False
-    trace = trace_boundary(word)
-    if selection.case == "Case1":
-        return trace.sides_split(selection.band)
-    graph = surface_graph(word)
-    comp = graph.component_of[word.letters[selection.band - 1][0] - 1]
-    circles = [b for b, c in enumerate(trace.surface_component_of) if c == comp]
-    return (
-        len(circles) == 1
-        and selection.band in graph.non_bridge_edges(comp)
-        and not trace.sides_split(selection.band)
-    )
+    return _select(word, trace_boundary(word), selection.case, selection.band) is not None
 
 
 def classify_and_select(word: BandWord) -> BandSelection:
@@ -78,21 +87,17 @@ def classify_and_select(word: BandWord) -> BandSelection:
     for band in range(1, len(word.letters) + 1):
         if trace.sides_split(band):
             return BandSelection("Case1", band)
-    graph = surface_graph(word)
+    graph = trace.graph
     for comp in range(graph.component_count):
-        edges = graph.edges_in(comp)
-        if len(edges) >= len(graph.vertices_in(comp)):
-            non_bridge = graph.non_bridge_edges(comp)
-            band = min(non_bridge)
-            circles = [b for b, c in enumerate(trace.surface_component_of) if c == comp]
-            if len(circles) != 1:
-                raise TracingBugError(
-                    f"Case2 component {comp} bounds {len(circles)} circles, not one"
-                )
-            sel = BandSelection("Case2", band, component=comp, boundary_knot=circles[0])
-            if not _verify(word, sel):
-                raise TracingBugError(f"selection {sel} fails its own defining property")
-            return sel
+        band = next((pos for pos, _, _ in graph.edges_in(comp) if graph.on_cycle(pos)), None)
+        if band is None:
+            continue
+        sel = _select(word, trace, "Case2", band)
+        if sel is None or not _verify(word, sel):
+            raise TracingBugError(
+                f"Case2 band {band} of component {comp} fails its own defining property"
+            )
+        return sel
     raise AssertionError("non-unlink surface with neither a Case1 nor a Case2 band")
 
 
@@ -111,21 +116,9 @@ def persistent_selection(
             f"band {previous.band} has no image under the relocation map"
         )
     new_band = band_relocation[previous.band]
-    if previous.case == "Case1":
-        candidate = BandSelection("Case1", new_band)
-    else:
-        graph = surface_graph(tied_word)
-        comp = graph.component_of[tied_word.letters[new_band - 1][0] - 1]
-        trace = trace_boundary(tied_word)
-        circles = [b for b, c in enumerate(trace.surface_component_of) if c == comp]
-        candidate = BandSelection(
-            "Case2",
-            new_band,
-            component=comp,
-            boundary_knot=circles[0] if len(circles) == 1 else None,
-        )
-    if not _verify(tied_word, candidate):
+    selection = _select(tied_word, trace_boundary(tied_word), previous.case, new_band)
+    if selection is None:
         raise RelocationLostError(
             f"relocated band {new_band} fails its {previous.case} property"
         )
-    return candidate
+    return selection

@@ -17,6 +17,7 @@ permutation on every call.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .words import BandWord
@@ -61,50 +62,20 @@ class SurfaceGraph:
             "component_of": list(self.component_of),
         }
 
+    def on_cycle(self, pos: int) -> bool:
+        """True when band `pos` lies on a cycle: the other bands still join its ends."""
+        _, i, j = self.edges[pos - 1]
+        root = _roots(self.vertices, (e for e in self.edges if e[0] != pos))
+        return root[i] == root[j]
+
     def non_bridge_edges(self, comp: int | None = None) -> tuple[int, ...]:
-        """Positions of edges lying on a cycle (Tarjan lowlink bridge test)."""
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.vertices + 1)}
-        for pos, i, j in self.edges:
-            adj[i].append((j, pos))
-            adj[j].append((i, pos))
-        bridges: set[int] = set()
-        visited: dict[int, int] = {}
-        low: dict[int, int] = {}
-        counter = 0
-        for root in adj:
-            if root in visited:
-                continue
-            # Iterative DFS; multi-edges are distinguished by position, so a
-            # doubled edge is correctly never a bridge.
-            stack = [(root, -1, iter(adj[root]))]
-            visited[root] = low[root] = counter
-            counter += 1
-            while stack:
-                v, in_pos, it = stack[-1]
-                advanced = False
-                for w, pos in it:
-                    if pos == in_pos:
-                        continue
-                    if w not in visited:
-                        visited[w] = low[w] = counter
-                        counter += 1
-                        stack.append((w, pos, iter(adj[w])))
-                        advanced = True
-                        break
-                    low[v] = min(low[v], visited[w])
-                if advanced:
-                    continue
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > visited[parent]:
-                        bridges.add(in_pos)
-        result = tuple(pos for pos, _, _ in self.edges if pos not in bridges)
-        if comp is None:
-            return result
-        comp_edges = {pos for pos, _, _ in self.edges_in(comp)}
-        return tuple(pos for pos in result if pos in comp_edges)
+        """Positions of edges lying on a cycle, in word order, optionally in one component.
+
+        Each edge is tested with `on_cycle`, a union-find over the other
+        edges, so a doubled edge is never a bridge.
+        """
+        edges = self.edges if comp is None else self.edges_in(comp)
+        return tuple(pos for pos, _, _ in edges if self.on_cycle(pos))
 
 
 @dataclass(frozen=True)
@@ -115,6 +86,7 @@ class BoundaryTrace:
     band_sides: dict[int, tuple[int, int]]  # position -> (comp of left, comp of right)
     surface_component_of: tuple[int, ...]  # per boundary comp, its surface component
     circle_of_cycle: tuple[int, ...]  # per permutation cycle, its boundary circle
+    graph: SurfaceGraph  # the retraction graph the trace was built on; not in the JSON
 
     @property
     def count(self) -> int:
@@ -137,8 +109,9 @@ class BoundaryTrace:
         }
 
 
-def surface_graph(word: BandWord) -> SurfaceGraph:
-    parent = list(range(word.strands + 1))
+def _roots(vertices: int, edges: Iterable[tuple[int, int, int]]) -> list[int]:
+    """Union-find root of each disk 1..vertices joined by `edges` (index 0 unused)."""
+    parent = list(range(vertices + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -146,17 +119,17 @@ def surface_graph(word: BandWord) -> SurfaceGraph:
             x = parent[x]
         return x
 
-    edges = []
-    for pos, (i, j) in enumerate(word.letters, start=1):
-        edges.append((pos, i, j))
+    for _, i, j in edges:
         parent[find(i)] = find(j)
-    roots: dict[int, int] = {}
-    component_of = []
-    for v in range(1, word.strands + 1):
-        r = find(v)
-        roots.setdefault(r, len(roots))
-        component_of.append(roots[r])
-    return SurfaceGraph(word.strands, tuple(edges), tuple(component_of))
+    return [find(v) for v in range(vertices + 1)]
+
+
+def surface_graph(word: BandWord) -> SurfaceGraph:
+    edges = tuple((pos, i, j) for pos, (i, j) in enumerate(word.letters, start=1))
+    labels: dict[int, int] = {}
+    roots = _roots(word.strands, edges)[1:]
+    component_of = tuple(labels.setdefault(r, len(labels)) for r in roots)
+    return SurfaceGraph(word.strands, edges, component_of)
 
 
 def euler_characteristic(word: BandWord) -> int:
@@ -246,14 +219,14 @@ def trace_boundary(word: BandWord) -> BoundaryTrace:
     if sorted(circle_of_cycle) != list(range(len(components))):
         raise TracingBugError("cycle-to-circle map is not a bijection")
     return BoundaryTrace(
-        tuple(components), band_sides, tuple(surface_component_of), tuple(circle_of_cycle)
+        tuple(components), band_sides, tuple(surface_component_of), tuple(circle_of_cycle), graph
     )
 
 
 def genus_profile(word: BandWord) -> list[tuple[int, int, int]]:
     """Per surface component: (component, genus, boundary circle count)."""
-    graph = surface_graph(word)
     trace = trace_boundary(word)
+    graph = trace.graph
     profile = []
     for comp in range(graph.component_count):
         chi = len(graph.vertices_in(comp)) - len(graph.edges_in(comp))

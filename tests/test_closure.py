@@ -28,6 +28,8 @@ TREFOIL = BandWord(2, ((1, 2), (1, 2), (1, 2)))
 def families():
     """family(seed, 2) and a report per step, with every laurent_det size seen."""
     out = {}
+    # Validate the annulus outside the spy, so only the families' determinants count.
+    bundled_alpha()
     original = invariants.laurent_det
     for name, seed in (("trefoil", TREFOIL), ("hopf", HOPF)):
         sizes = []

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from sqpbands import (
+    BandSelection,
     BandWord,
     RelocationLostError,
     UnlinkInputError,
@@ -96,6 +97,15 @@ def test_relocation_without_image_raises():
     sel = classify_and_select(TREFOIL)
     with pytest.raises(RelocationLostError):
         persistent_selection(sel, TREFOIL, {})
+
+
+@pytest.mark.parametrize("case", ["Case1", "Case2"])
+@pytest.mark.parametrize("target", [0, 3])
+def test_relocation_out_of_range_raises(case, target):
+    # Band 0 would read the last letter and band 3 would index past the end.
+    word = BandWord(6, ((1, 4), (1, 5)))
+    with pytest.raises(RelocationLostError):
+        persistent_selection(BandSelection(case, 1), word, {1: target})
 
 
 def test_failed_self_check_raises_even_without_asserts(monkeypatch):

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from sqpbands import (
     BandWord,
@@ -108,6 +109,33 @@ def test_unlink_iff_betti_zero(word):
 def test_circle_cycle_map_is_bijection(word):
     trace = trace_boundary(word)
     assert sorted(trace.circle_of_cycle) == list(range(trace.count))
+
+
+@st.composite
+def words_with_doubled_bands(draw):
+    """A band word with one to three of its letters repeated at random positions."""
+    word = draw(band_words())
+    letters = list(word.letters)
+    if letters:
+        for letter in draw(st.lists(st.sampled_from(word.letters), min_size=1, max_size=3)):
+            letters.insert(draw(st.integers(0, len(letters))), letter)
+    return BandWord(word.strands, tuple(letters))
+
+
+@given(words_with_doubled_bands())
+def test_non_bridge_edges_match_deletion(word):
+    # A band is on a cycle iff deleting it keeps the component count.
+    graph = surface_graph(word)
+
+    def on_cycle(pos):
+        rest = BandWord(word.strands, word.letters[: pos - 1] + word.letters[pos:])
+        return surface_graph(rest).component_count == graph.component_count
+
+    expected = tuple(pos for pos in range(1, len(word.letters) + 1) if on_cycle(pos))
+    assert graph.non_bridge_edges() == expected
+    for comp in range(graph.component_count):
+        in_comp = {pos for pos, _, _ in graph.edges_in(comp)}
+        assert graph.non_bridge_edges(comp) == tuple(p for p in expected if p in in_comp)
 
 
 def test_negative_betti_raises_even_without_asserts(monkeypatch):
