@@ -20,7 +20,7 @@ from sqpbands.invariants import (
     kauffman_bracket_bruteforce,
     linking_matrix,
 )
-from sqpbands.surface import euler_characteristic, first_betti
+from sqpbands.surface import trace_boundary
 from sqpbands.words import parse_band_word, underlying_permutation
 
 CORPUS = [
@@ -63,10 +63,11 @@ def main() -> None:
         artin = word.expand_to_artin()
         perm = underlying_permutation(word)
         delta = burau_alexander_oracle(artin)
+        surface = trace_boundary(word)
         expected = {
             "components": perm.cycle_count(),
-            "chi": euler_characteristic(word),
-            "betti": first_betti(word),
+            "chi": surface.chi,
+            "betti": surface.betti,
             "linking": [list(r) for r in linking_matrix(artin)],
             "alexander": delta.to_pairs(),
             "determinant": abs(delta.evaluate_int(-1)),

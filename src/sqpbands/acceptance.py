@@ -27,13 +27,7 @@ from .invariants import (
 from .laurent import LaurentPolynomial
 from .report import load_corpus
 from .selection import UnlinkInputError, classify_and_select
-from .surface import (
-    euler_characteristic,
-    genus_profile,
-    is_unlink_surface,
-    surface_graph,
-    trace_boundary,
-)
+from .surface import is_unlink_surface, surface_graph
 from .tie import bundled_alpha, family, tie, trivial_annulus
 from .words import BandWord
 
@@ -102,13 +96,12 @@ def criterion_1_alpha(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
     """Bundled annulus word: surface data and companion polynomial."""
     t0 = time.perf_counter()
     res = CriterionResult(1, "alpha-verification", 5.0)
-    alpha = bundled_alpha().word
-    res.check("connected", surface_graph(alpha).component_count == 1)
-    res.check("euler", euler_characteristic(alpha) == 0, "chi = 0")
-    trace = trace_boundary(alpha)
-    res.check("boundary-circles", trace.count == 2)
-    res.check("genus-profile", genus_profile(alpha) == [(0, 0, 2)], "annulus: g=0, b=2")
-    closure = Closure(alpha)
+    closure = Closure(bundled_alpha().word)
+    surface = closure.surface
+    res.check("connected", surface.graph.component_count == 1)
+    res.check("euler", surface.chi == 0, "chi = 0")
+    res.check("boundary-circles", surface.count == 2)
+    res.check("genus-profile", surface.genus_profile == ((0, 0, 2),), "annulus: g=0, b=2")
     lk = closure.linking
     res.check("linking", lk[0][1] == 1, f"lk = {lk[0][1]}")
     for comp, record in enumerate(closure.component_records):

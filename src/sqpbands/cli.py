@@ -20,12 +20,7 @@ from .acceptance import run_suite
 from .invariants import DEFAULT_JONES_BUDGET, full_report
 from .report import ReportEnvelope, compare_with_expected, load_corpus
 from .selection import RelocationLostError, UnlinkInputError
-from .surface import (
-    TracingBugError,
-    first_betti,
-    genus_profile,
-    trace_boundary,
-)
+from .surface import TracingBugError, trace_boundary
 from .svg import band_diagram_svg
 from .tie import (
     AnnulusWord,
@@ -103,8 +98,8 @@ def cmd_validate(args) -> int:
                 "strands": word.strands,
                 "letters": len(word.letters),
                 "boundary_components": trace.count,
-                "betti": first_betti(word),
-                "genus_profile": [list(g) for g in genus_profile(word)],
+                "betti": trace.betti,
+                "genus_profile": [list(g) for g in trace.genus_profile],
                 "surface_graph": trace.graph.to_json_dict(),
                 "boundary_trace": trace.to_json_dict(),
             }
@@ -178,20 +173,20 @@ def cmd_family(args) -> int:
     except (WordSyntaxError, UnlinkInputError, SelectionInvalidError, OSError, ValueError) as exc:
         return _emit_error(env, args, str(exc), EXIT_INPUT)
     except (OracleViolationError, TracingBugError, RelocationLostError) as exc:
-        certs = getattr(exc, "certificates", ())
-        env.certificates = [
-            {"name": c.name, "status": c.status, "detail": c.detail} for c in certs
-        ]
+        env.certificates = [c.to_json_dict() for c in getattr(exc, "certificates", ())]
         return _emit_error(env, args, str(exc), EXIT_ORACLE)
-    for step in steps:
-        entry = step.to_json_dict()
-        report = full_report(step.closure, with_jones=args.with_jones, budget=args.budget)
-        entry["report"] = report.to_json_dict()
-        env.family.append(entry)
-    env.certificates = [
-        {"step": s, "name": c.name, "status": c.status, "detail": c.detail}
-        for s, c in family_ledger(steps, annulus, args.with_jones, args.budget)
-    ]
+    try:
+        entries = []
+        for step in steps:
+            entry = step.to_json_dict()
+            report = full_report(step.closure, with_jones=args.with_jones, budget=args.budget)
+            entry["report"] = report.to_json_dict()
+            entries.append(entry)
+        ledger = family_ledger(steps, annulus, args.with_jones, args.budget)
+    except TracingBugError as exc:
+        return _emit_error(env, args, str(exc), EXIT_ORACLE)
+    env.family = entries
+    env.certificates = [{"step": s, **c.to_json_dict()} for s, c in ledger]
     _emit(env.finish(), args, _print_family)
     return EXIT_OK
 

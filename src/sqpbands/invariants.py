@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .laurent import LaurentPolynomial, _Elimination, _unpack, int_det, laurent_det
-from .surface import euler_characteristic, first_betti, genus_profile
+from .laurent import LaurentPolynomial, _Elimination, _unpack, laurent_det
+from .surface import BoundaryTrace, trace_boundary
 from .words import ArtinWord, BandWord, Permutation, underlying_permutation
 
 DEFAULT_JONES_BUDGET = 12
@@ -62,18 +62,6 @@ class SeifertMatrix:
     @property
     def size(self) -> int:
         return len(self.matrix)
-
-    def transposed(self) -> tuple[tuple[int, ...], ...]:
-        n = self.size
-        return tuple(tuple(self.matrix[j][i] for j in range(n)) for i in range(n))
-
-    def intersection_determinant(self) -> int:
-        """det(V - V^T); +-1 exactly when the closure is a knot, else 0."""
-        n = self.size
-        vt = self.transposed()
-        return int_det([
-            [self.matrix[i][j] - vt[i][j] for j in range(n)] for i in range(n)
-        ])
 
 
 def _columns(word: ArtinWord) -> dict[int, list[tuple[int, int]]]:
@@ -617,7 +605,8 @@ class Closure:
 
     Closure invariants are read off `simplified`, the Markov-reduced
     diagram. A knot is its own only component, so `component_records`
-    of a knot is `(self,)`.
+    of a knot is `(self,)`. A band word's record also holds its traced
+    band surface, which selection and the splice contracts read.
     """
 
     def __init__(self, word: BandWord | ArtinWord):
@@ -636,6 +625,13 @@ class Closure:
     @cached_property
     def simplified(self) -> ArtinWord:
         return simplify_closure_word(self.artin)
+
+    @cached_property
+    def surface(self) -> BoundaryTrace:
+        """The traced band surface; only the closure of a band word has one."""
+        if not isinstance(self.word, BandWord):
+            raise TypeError("an Artin word's closure has no band surface")
+        return trace_boundary(self.word)
 
     @cached_property
     def permutation(self) -> Permutation:
@@ -700,9 +696,8 @@ def full_report(
     closure = word if isinstance(word, Closure) else Closure(word)
     word = closure.word
     if isinstance(word, BandWord):
-        chi = euler_characteristic(word)
-        betti = first_betti(word)
-        profile = tuple(genus_profile(word))
+        surface = closure.surface
+        chi, betti, profile = surface.chi, surface.betti, surface.genus_profile
     else:
         # Seifert's surface of the diagram: one disk per strand, one band per
         # letter; b1 = letters - used columns, the brick count.

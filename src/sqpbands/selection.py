@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .surface import BoundaryTrace, TracingBugError, is_unlink_surface, trace_boundary
+from .invariants import Closure
+from .surface import BoundaryTrace, TracingBugError
 from .words import BandWord
 
 
@@ -45,78 +46,75 @@ class BandSelection:
             raise ValueError(f"unknown case tag {self.case!r}")
 
 
-def _select(
-    word: BandWord, trace: BoundaryTrace, case: str, band: int
-) -> BandSelection | None:
-    """The `case` selection of `band` in `word` (traced as `trace`), or None.
+def _select(surface: BoundaryTrace, case: str, band: int) -> BandSelection | None:
+    """The `case` selection of `band` on the traced `surface`, or None.
 
     Case 1 asks that the band's sides lie on different circles. Case 2
     asks that they do not, that the band lies on a cycle of the
     retraction graph, and that its surface component bounds one circle.
     """
-    if not 1 <= band <= len(word.letters):
+    graph = surface.graph
+    if not 1 <= band <= len(graph.edges):
         return None
     if case == "Case1":
-        return BandSelection("Case1", band) if trace.sides_split(band) else None
-    graph = trace.graph
-    comp = graph.component_of[word.letters[band - 1][0] - 1]
-    circles = [b for b, c in enumerate(trace.surface_component_of) if c == comp]
-    if len(circles) != 1 or trace.sides_split(band) or not graph.on_cycle(band):
+        return BandSelection("Case1", band) if surface.sides_split(band) else None
+    comp = graph.component_of[graph.edges[band - 1][1] - 1]
+    circles = [b for b, c in enumerate(surface.surface_component_of) if c == comp]
+    if len(circles) != 1 or surface.sides_split(band) or not graph.on_cycle(band):
         return None
     return BandSelection("Case2", band, component=comp, boundary_knot=circles[0])
 
 
-def _verify(word: BandWord, selection: BandSelection) -> bool:
-    """Re-check the defining property of a selection against a word."""
-    return _select(word, trace_boundary(word), selection.case, selection.band) is not None
-
-
-def classify_and_select(word: BandWord) -> BandSelection:
+def classify_and_select(word: BandWord | Closure) -> BandSelection:
     """Select the splice band of a non-unlink band word.
 
     Case 1 is checked first, mirroring the order of the underlying
     dichotomy; ties broken by word position for reproducible families.
+    Given a Closure, the selection reads that record's surface.
     """
-    if is_unlink_surface(word):
+    closure = word if isinstance(word, Closure) else Closure(word)
+    surface = closure.surface
+    graph = surface.graph
+    if graph.is_forest():
         raise UnlinkInputError(
             "the surface of this word is a union of disks (its closure is an "
             "unlink); band surfaces realize minimal genus, so the unknot is "
             "the only strongly quasipositive slice knot and no selection exists"
         )
-    trace = trace_boundary(word)
-    for band in range(1, len(word.letters) + 1):
-        if trace.sides_split(band):
+    for band in range(1, len(graph.edges) + 1):
+        if surface.sides_split(band):
             return BandSelection("Case1", band)
-    graph = trace.graph
     for comp in range(graph.component_count):
         band = next((pos for pos, _, _ in graph.edges_in(comp) if graph.on_cycle(pos)), None)
         if band is None:
             continue
-        sel = _select(word, trace, "Case2", band)
-        if sel is None or not _verify(word, sel):
+        sel = _select(surface, "Case2", band)
+        if sel is None:
             raise TracingBugError(
                 f"Case2 band {band} of component {comp} fails its own defining property"
             )
         return sel
-    raise AssertionError("non-unlink surface with neither a Case1 nor a Case2 band")
+    raise TracingBugError("non-unlink surface with neither a Case1 nor a Case2 band")
 
 
 def persistent_selection(
     previous: BandSelection,
-    tied_word: BandWord,
+    tied_word: BandWord | Closure,
     band_relocation: Mapping[int, int],
 ) -> BandSelection:
     """Carry a selection through a splice via its relocation map.
 
     The relocated band must satisfy the same case property on the new
     word; failure signals a broken word template, not a usage error.
+    Given a Closure, the check reads that record's surface.
     """
     if previous.band not in band_relocation:
         raise RelocationLostError(
             f"band {previous.band} has no image under the relocation map"
         )
     new_band = band_relocation[previous.band]
-    selection = _select(tied_word, trace_boundary(tied_word), previous.case, new_band)
+    closure = tied_word if isinstance(tied_word, Closure) else Closure(tied_word)
+    selection = _select(closure.surface, previous.case, new_band)
     if selection is None:
         raise RelocationLostError(
             f"relocated band {new_band} fails its {previous.case} property"

@@ -80,7 +80,10 @@ class SurfaceGraph:
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Boundary circles of the band surface, as cyclic arc sequences."""
+    """The band surface of one word: its boundary circles, as cyclic arc
+    sequences, over its retraction graph. chi, b1 and the genus profile
+    are read off this record; `Closure.surface` holds one per band word.
+    """
 
     components: tuple[tuple[Arc, ...], ...]
     band_sides: dict[int, tuple[int, int]]  # position -> (comp of left, comp of right)
@@ -99,6 +102,37 @@ class BoundaryTrace:
 
     def cycle_of_circle(self, circle: int) -> int:
         return self.circle_of_cycle.index(circle)
+
+    @property
+    def chi(self) -> int:
+        """Euler characteristic: one per disk, minus one per band."""
+        return self.graph.vertices - len(self.graph.edges)
+
+    @property
+    def betti(self) -> int:
+        """First Betti number b1 = surface components - chi."""
+        b1 = self.graph.component_count - self.chi
+        if b1 < 0:
+            raise TracingBugError(f"negative first Betti number {b1}")
+        return b1
+
+    @property
+    def genus_profile(self) -> tuple[tuple[int, int, int], ...]:
+        """Per surface component: (component, genus, boundary circle count)."""
+        graph = self.graph
+        profile = []
+        for comp in range(graph.component_count):
+            chi = len(graph.vertices_in(comp)) - len(graph.edges_in(comp))
+            b = self.surface_component_of.count(comp)
+            if (2 - chi - b) % 2:
+                raise TracingBugError(
+                    f"component {comp}: chi={chi} and b={b} have impossible parity"
+                )
+            genus = (2 - chi - b) // 2
+            if genus < 0:
+                raise TracingBugError(f"component {comp}: negative genus from chi={chi}, b={b}")
+            profile.append((comp, genus, b))
+        return tuple(profile)
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,18 +164,6 @@ def surface_graph(word: BandWord) -> SurfaceGraph:
     roots = _roots(word.strands, edges)[1:]
     component_of = tuple(labels.setdefault(r, len(labels)) for r in roots)
     return SurfaceGraph(word.strands, edges, component_of)
-
-
-def euler_characteristic(word: BandWord) -> int:
-    return word.strands - len(word.letters)
-
-
-def first_betti(word: BandWord) -> int:
-    graph = surface_graph(word)
-    b1 = graph.component_count - euler_characteristic(word)
-    if b1 < 0:
-        raise TracingBugError(f"negative first Betti number {b1} for {word}")
-    return b1
 
 
 def trace_boundary(word: BandWord) -> BoundaryTrace:
@@ -221,25 +243,6 @@ def trace_boundary(word: BandWord) -> BoundaryTrace:
     return BoundaryTrace(
         tuple(components), band_sides, tuple(surface_component_of), tuple(circle_of_cycle), graph
     )
-
-
-def genus_profile(word: BandWord) -> list[tuple[int, int, int]]:
-    """Per surface component: (component, genus, boundary circle count)."""
-    trace = trace_boundary(word)
-    graph = trace.graph
-    profile = []
-    for comp in range(graph.component_count):
-        chi = len(graph.vertices_in(comp)) - len(graph.edges_in(comp))
-        b = sum(1 for c in trace.surface_component_of if c == comp)
-        if (2 - chi - b) % 2:
-            raise TracingBugError(
-                f"component {comp}: chi={chi} and b={b} have impossible parity"
-            )
-        genus = (2 - chi - b) // 2
-        if genus < 0:
-            raise TracingBugError(f"component {comp}: negative genus from chi={chi}, b={b}")
-        profile.append((comp, genus, b))
-    return profile
 
 
 def is_unlink_surface(word: BandWord) -> bool:

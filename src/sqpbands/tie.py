@@ -24,8 +24,7 @@ from functools import cache
 
 from .invariants import DEFAULT_JONES_BUDGET, BudgetExceeded, Closure
 from .laurent import LaurentPolynomial
-from .selection import BandSelection, _verify, classify_and_select, persistent_selection
-from .surface import euler_characteristic, is_unlink_surface, surface_graph, trace_boundary
+from .selection import BandSelection, _select, classify_and_select, persistent_selection
 from .words import BandWord
 
 
@@ -48,6 +47,9 @@ class Certificate:
     name: str
     status: str  # "pass" | "fail" | "paper-cited"
     detail: str = ""
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,14 @@ class AnnulusWord:
     def __post_init__(self):
         if not 1 <= self.designated_band <= len(self.word.letters):
             raise ValueError("designated band index out of range")
-        if euler_characteristic(self.word) != 0:
-            raise ValueError("annulus word must have Euler characteristic 0")
-        if surface_graph(self.word).component_count != 1:
-            raise ValueError("annulus surface must be connected")
-        trace = trace_boundary(self.word)
-        if trace.count != 2:
-            raise ValueError("annulus surface must have two boundary circles")
         closure = Closure(self.word)
+        surface = closure.surface
+        if surface.chi != 0:
+            raise ValueError("annulus word must have Euler characteristic 0")
+        if surface.graph.component_count != 1:
+            raise ValueError("annulus surface must be connected")
+        if surface.count != 2:
+            raise ValueError("annulus surface must have two boundary circles")
         lk = closure.linking
         if lk[0][1] != self.expected_linking:
             raise ValueError(
@@ -187,10 +189,7 @@ class TieResult:
                 "boundary_knot": self.selection.boundary_knot,
             },
             "iteration": self.iteration,
-            "certificates": [
-                {"name": c.name, "status": c.status, "detail": c.detail}
-                for c in self.certificates
-            ],
+            "certificates": [c.to_json_dict() for c in self.certificates],
         }
 
 
@@ -222,7 +221,7 @@ def tie(
     """
     before = target if isinstance(target, Closure) else Closure(target)
     target = before.word
-    if not _verify(target, selection):
+    if _select(before.surface, selection.case, selection.band) is None:
         raise SelectionInvalidError(
             f"{selection.case} band {selection.band} does not hold for {target}"
         )
@@ -281,15 +280,15 @@ def _check_oracles(
 ) -> tuple[Certificate, ...]:
     certs: list[Certificate] = []
     m = annulus.strands
-    target, word = before.word, after.word
+    surface_in, surface_out = before.surface, after.surface
 
-    chi_in, chi_out = euler_characteristic(target), euler_characteristic(word)
+    chi_in, chi_out = surface_in.chi, surface_out.chi
     if chi_out != chi_in:
         _fail("a:euler", f"chi {chi_in} -> {chi_out}", certs)
     certs.append(Certificate("a:euler", "pass", f"chi = {chi_out}"))
 
-    comps_in = surface_graph(target).component_count
-    comps_out = surface_graph(word).component_count
+    comps_in = surface_in.graph.component_count
+    comps_out = surface_out.graph.component_count
     if comps_out != comps_in:
         _fail("b:surface-components", f"{comps_in} -> {comps_out}", certs)
     certs.append(Certificate("b:surface-components", "pass", f"count = {comps_out}"))
@@ -348,9 +347,8 @@ def _check_oracles(
             Certificate("f:alexander", "pass", f"winding-zero satellite keeps {d_out.format()}")
         )
     else:
-        trace = trace_boundary(target)
-        c1, c2 = trace.band_sides[selection.band]
-        affected = {trace.cycle_of_circle(c1), trace.cycle_of_circle(c2)}
+        c1, c2 = surface_in.band_sides[selection.band]
+        affected = {surface_in.cycle_of_circle(c1), surface_in.cycle_of_circle(c2)}
         factor = annulus.companion_alexander
         for c in range(perm_in.cycle_count()):
             d_in = before.component_records[c].alexander
@@ -383,31 +381,30 @@ def family(
     the relocation maps, so the companion accumulates in the same band.
     Returns [delta_0 .. delta_count] with delta_0 a degenerate step-0
     entry for the seed word. Step i's closure record is the target of
-    step i+1, so each closure's invariants are computed once.
+    step i+1, so each closure's surface is traced once and its invariants
+    are computed once.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if is_unlink_surface(target):
-        # Surfaces of unlinks are disk unions: nothing to tie into.
-        classify_and_select(target)  # raises UnlinkInputError with the explanation
+    closure = Closure(target)
+    selection = classify_and_select(closure)  # an unlink seed raises UnlinkInputError
     if annulus is None:
         annulus = bundled_alpha()
     seed = TieResult(
         word=target,
         band_relocation={t: t for t in range(1, len(target.letters) + 1)},
         annulus_name=annulus.companion_name,
-        selection=classify_and_select(target),
+        selection=selection,
         iteration=0,
-        closure=Closure(target),
+        closure=closure,
         certificates=(),
     )
     results = [seed]
-    selection = seed.selection
     for i in range(1, count + 1):
         step = tie(annulus, results[-1].closure, selection, iteration=i)
         results.append(step)
         if i < count:
-            selection = persistent_selection(selection, step.word, step.band_relocation)
+            selection = persistent_selection(selection, step.closure, step.band_relocation)
     return results
 
 

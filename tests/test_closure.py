@@ -1,5 +1,7 @@
 """The per-closure record: one determinant per closure, same answers as the oracles."""
 
+import sys
+
 import pytest
 
 from sqpbands import (
@@ -17,7 +19,7 @@ from sqpbands import (
     signature,
     simplify_closure_word,
 )
-from sqpbands import invariants
+from sqpbands import invariants, surface
 from sqpbands.invariants import _diagram_is_split
 
 HOPF = BandWord(2, ((1, 2), (1, 2)))
@@ -45,6 +47,38 @@ def families():
                 full_report(step.closure, with_jones=False)
         out[name] = (steps, sizes)
     return out
+
+
+def _spy_everywhere(mp, name, calls):
+    """Record every call of `surface.<name>`, under each name the package binds it to."""
+    original = getattr(surface, name)
+
+    def spy(word):
+        calls.append(word)
+        return original(word)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "sqpbands" and vars(module).get(name) is original:
+            mp.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("seed", [TREFOIL, HOPF], ids=["trefoil", "hopf"])
+def test_family_reports_and_ledger_trace_each_band_word_once(seed):
+    # Validate the annulus outside the spy, so only the family's words count.
+    bundled_alpha()
+    traces, graphs = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        _spy_everywhere(mp, "trace_boundary", traces)
+        _spy_everywhere(mp, "surface_graph", graphs)
+        steps = family(seed, 2)
+        for step in steps:
+            full_report(step.closure, with_jones=False)
+        family_ledger(steps, bundled_alpha())
+    words = [step.word for step in steps]
+    assert len(set(words)) == 3
+    assert traces == words
+    # The retraction graph is built only inside those traces.
+    assert graphs == words
 
 
 def test_trefoil_family_and_reports_take_one_determinant_per_closure(families):

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from sqpbands import full_report, parse_band_word
+from sqpbands import SurfaceGraph, cli, full_report, parse_band_word
 from sqpbands.report import ReportEnvelope, compare_with_expected, load_corpus
+from sqpbands.surface import TracingBugError
 from sqpbands.svg import band_diagram_svg
 from sqpbands.words import BandWord
 
@@ -262,6 +263,33 @@ def test_cli_family_broken_template_exits_3(tmp_path):
     )
     assert r.returncode == 3
     assert "oracle" in r.stderr.lower() or "splice" in r.stderr.lower()
+
+
+def run_family_in_process(capsys):
+    code = cli.main(
+        ["family", "b(1,2) b(1,2) b(1,2)", "--strands", "2", "--count", "1", "--json"]
+    )
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_cli_family_tracing_bug_in_reports_exits_3(monkeypatch, capsys):
+    def broken_report(*args, **kwargs):
+        raise TracingBugError("forced in the report stage")
+
+    monkeypatch.setattr(cli, "full_report", broken_report)
+    code, payload = run_family_in_process(capsys)
+    assert code == 3
+    assert payload["error"] == {"message": "forced in the report stage", "exit_code": 3}
+    assert payload["family"] == []
+
+
+def test_cli_family_surface_without_a_band_exits_3(monkeypatch, capsys):
+    # With no band on a cycle the trefoil has neither a Case1 nor a Case2 band.
+    monkeypatch.setattr(SurfaceGraph, "on_cycle", lambda self, pos: False)
+    code, payload = run_family_in_process(capsys)
+    assert code == 3
+    assert payload["error"]["exit_code"] == 3
+    assert "neither a Case1 nor a Case2" in payload["error"]["message"]
 
 
 def test_svg_contains_all_bands():

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 
 from sqpbands import (
     BandSelection,
     BandWord,
+    Closure,
     RelocationLostError,
     UnlinkInputError,
     classify_and_select,
@@ -76,8 +79,9 @@ def test_selection_properties(word):
             b for b, c in enumerate(trace.surface_component_of) if c == sel.component
         ]
         assert len(circles) == 1
-    # determinism
+    # determinism, and the same answer from the word's closure record
     assert classify_and_select(word) == sel
+    assert classify_and_select(Closure(word)) == sel
 
 
 def test_identity_relocation_is_noop():
@@ -108,12 +112,13 @@ def test_relocation_out_of_range_raises(case, target):
         persistent_selection(BandSelection(case, 1), word, {1: target})
 
 
-def test_failed_self_check_raises_even_without_asserts(monkeypatch):
+def test_failed_self_check_raises_even_without_asserts():
     """The Case2 self-check is an explicit raise, so it survives python -O."""
-    import sys
-
     from sqpbands.surface import TracingBugError
 
-    monkeypatch.setattr(sys.modules["sqpbands.selection"], "_verify", lambda word, sel: False)
-    with pytest.raises(TracingBugError):
-        classify_and_select(TREFOIL)
+    closure = Closure(TREFOIL)
+    # A surface record whose one component claims two circles: the search
+    # finds band 1 on a cycle, and the Case2 rule then refuses it.
+    closure.surface = replace(closure.surface, surface_component_of=(0, 0))
+    with pytest.raises(TracingBugError, match="fails its own defining property"):
+        classify_and_select(closure)

@@ -1,18 +1,19 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sqpbands import (
     BandWord,
-    euler_characteristic,
-    first_betti,
-    genus_profile,
+    SurfaceGraph,
     is_unlink_surface,
     parse_band_word,
     surface_graph,
     trace_boundary,
     underlying_permutation,
 )
+from sqpbands.surface import TracingBugError
 
 from wordgen import ALPHA_TEXT, band_words
 
@@ -45,15 +46,15 @@ def test_trefoil_graph_parallel_edges():
 
 
 def test_euler_characteristic_examples(alpha):
-    assert euler_characteristic(alpha) == 0
-    assert euler_characteristic(BandWord(1, ())) == 1
-    assert euler_characteristic(BandWord(2, ((1, 2),) * 3)) == -1
+    assert trace_boundary(alpha).chi == 0
+    assert trace_boundary(BandWord(1, ())).chi == 1
+    assert trace_boundary(BandWord(2, ((1, 2),) * 3)).chi == -1
 
 
 def test_first_betti_examples(alpha):
-    assert first_betti(alpha) == 1
-    assert first_betti(BandWord(4, ((1, 2), (3, 4)))) == 0
-    assert first_betti(BandWord(2, ((1, 2),) * 3)) == 2
+    assert trace_boundary(alpha).betti == 1
+    assert trace_boundary(BandWord(4, ((1, 2), (3, 4)))).betti == 0
+    assert trace_boundary(BandWord(2, ((1, 2),) * 3)).betti == 2
 
 
 def test_boundary_trace_hopf():
@@ -71,9 +72,9 @@ def test_boundary_trace_alpha(alpha):
 
 
 def test_genus_profile_examples(alpha):
-    assert genus_profile(alpha) == [(0, 0, 2)]
-    assert genus_profile(BandWord(2, ((1, 2),) * 3)) == [(0, 1, 1)]
-    assert genus_profile(BandWord(2, ())) == [(0, 0, 1), (1, 0, 1)]
+    assert trace_boundary(alpha).genus_profile == ((0, 0, 2),)
+    assert trace_boundary(BandWord(2, ((1, 2),) * 3)).genus_profile == ((0, 1, 1),)
+    assert trace_boundary(BandWord(2, ())).genus_profile == ((0, 0, 1), (1, 0, 1))
 
 
 def test_is_unlink_surface_examples():
@@ -89,20 +90,22 @@ def test_boundary_count_matches_permutation(word):
 
 @given(band_words())
 def test_chi_plus_betti_is_component_count(word):
-    graph = surface_graph(word)
-    assert euler_characteristic(word) + first_betti(word) == graph.component_count
+    trace = trace_boundary(word)
+    chi = word.strands - len(word.letters)
+    assert trace.chi == chi
+    assert chi + trace.betti == surface_graph(word).component_count
 
 
 @given(band_words())
 def test_genus_sum_identity(word):
-    profile = genus_profile(word)
+    profile = trace_boundary(word).genus_profile
     assert all(g >= 0 for _, g, _ in profile)
-    assert sum(2 - 2 * g - b for _, g, b in profile) == euler_characteristic(word)
+    assert sum(2 - 2 * g - b for _, g, b in profile) == word.strands - len(word.letters)
 
 
 @given(band_words())
 def test_unlink_iff_betti_zero(word):
-    assert is_unlink_surface(word) == (first_betti(word) == 0)
+    assert is_unlink_surface(word) == (trace_boundary(word).betti == 0)
 
 
 @given(band_words())
@@ -138,12 +141,13 @@ def test_non_bridge_edges_match_deletion(word):
         assert graph.non_bridge_edges(comp) == tuple(p for p in expected if p in in_comp)
 
 
-def test_negative_betti_raises_even_without_asserts(monkeypatch):
-    import sys
-
-    from sqpbands.surface import TracingBugError
-
-    surface = sys.modules["sqpbands.surface"]
-    monkeypatch.setattr(surface, "euler_characteristic", lambda word: word.strands + 1)
-    with pytest.raises(TracingBugError):
-        first_betti(BandWord(2, ((1, 2),)))
+def test_negative_betti_raises_even_without_asserts():
+    """The b1 and genus checks are explicit raises, so they survive python -O."""
+    trace = trace_boundary(BandWord(2, ((1, 2),)))
+    # A graph claiming one surface component over two disks and no bands:
+    # chi = 2 gives b1 = -1, and one circle gives an odd 2 - chi - b.
+    broken = replace(trace, graph=SurfaceGraph(2, (), (0, 0)))
+    with pytest.raises(TracingBugError, match="negative first Betti"):
+        broken.betti
+    with pytest.raises(TracingBugError, match="impossible parity"):
+        broken.genus_profile

@@ -11,7 +11,6 @@ from sqpbands import (
     UnlinkInputError,
     bundled_alpha,
     classify_and_select,
-    euler_characteristic,
     family,
     full_report,
     jones_tl,
@@ -40,14 +39,14 @@ def test_bundled_alpha_invariants():
     ann = bundled_alpha()
     assert ann.strands == 8 and len(ann.word.letters) == 8
     assert ann.designated_band == 8
-    assert euler_characteristic(ann.word) == 0
+    assert trace_boundary(ann.word).chi == 0
     assert underlying_permutation(ann.word).cycle_count() == 2
     assert ann.companion_alexander.is_unit_equivalent(COMPANION_DELTA)
 
 
 def test_trivial_annulus_invariants():
     ann = trivial_annulus()
-    assert euler_characteristic(ann.word) == 0
+    assert trace_boundary(ann.word).chi == 0
     assert surface_graph(ann.word).component_count == 1
     assert trace_boundary(ann.word).count == 2
     assert linking_matrix(ann.word.expand_to_artin())[0][1] == 1
