@@ -229,6 +229,53 @@ def _free_cancel(letters: list[tuple[int, int]]) -> bool:
     return False
 
 
+def retract_leaf_disks(word: BandWord) -> BandWord:
+    """Shrink every disk of the band surface that meets exactly one band.
+
+    Such a disk and its band form a tongue on the neighbouring disk, and
+    pulling the tongue back into that disk is an isotopy of the surface
+    and of its boundary: a Markov destabilization at any strand, not only
+    at strands 1 and n. A retraction can leave the neighbour a leaf, so
+    disks come off a queue until none is left; disks that meet no band
+    stay (each bounds a split unknot). Linear in strands plus letters:
+    one degree count, one queue and one renumbering
+    b(i,j) -> b(i - [i > s], j - [j > s]) over the retracted disks s.
+    """
+    letters = word.letters
+    degree = [0] * (word.strands + 1)
+    # The xor of a disk's remaining band positions: its last band, once
+    # only one is left.
+    incident = [0] * len(degree)
+    for pos, (i, j) in enumerate(letters):
+        for d in (i, j):
+            degree[d] += 1
+            incident[d] ^= pos
+    kept = [True] * len(letters)
+    retracted = [False] * len(degree)
+    queue = [d for d, deg in enumerate(degree) if deg == 1]
+    while queue:
+        d = queue.pop()
+        if degree[d] != 1:
+            continue  # its last band went with the neighbour it joined
+        pos = incident[d]
+        kept[pos] = False
+        retracted[d] = True
+        i, j = letters[pos]
+        other = i + j - d
+        degree[other] -= 1
+        incident[other] ^= pos
+        if degree[other] == 1:
+            queue.append(other)
+    new_index, below = [0] * len(degree), 0
+    for d in range(1, len(degree)):
+        below += retracted[d]
+        new_index[d] = d - below
+    return BandWord(
+        word.strands - below,
+        tuple((new_index[i], new_index[j]) for (i, j), k in zip(letters, kept) if k),
+    )
+
+
 def simplify_closure_word(word: ArtinWord) -> ArtinWord:
     """Shrink a diagram without changing its closure.
 
@@ -237,7 +284,9 @@ def simplify_closure_word(word: ArtinWord) -> ArtinWord:
     destabilization at both ends. Every move is an isotopy of the
     closure, so all closure invariants are untouched; callers that need
     the literal input diagram (seifert_matrix on a fixed surface, the
-    oracle cross-checks) must not use this.
+    oracle cross-checks) must not use this. `Closure` hands it a band
+    word's diagram only after `retract_leaf_disks`, which destabilizes at
+    interior strands too.
     """
     letters = list(word.letters)
     strands = word.strands
@@ -464,7 +513,8 @@ def jones_tl(
 
     Exponents are quarter powers of t (integral multiples of 4 for knots).
     Refuses with a typed BudgetExceeded when the input word has more
-    strands than `budget`; the planar-matching state space is Catalan(n).
+    strands than `budget`, however few its simplified diagram keeps; the
+    planar-matching state space is Catalan(n).
     The transfer (`_bracket_tl`) runs on the record's simplified diagram
     and keeps each state's coefficient as one Kronecker-packed int in A^2,
     at a width proved sufficient by a first pass over the memoized cap
@@ -603,8 +653,11 @@ class Closure:
     reports and the certificate ledger. Nothing is cached outside the
     record; it lives as long as whoever holds it.
 
-    Closure invariants are read off `simplified`, the Markov-reduced
-    diagram. A knot is its own only component, so `component_records`
+    Closure invariants (Seifert matrix, Δ, σ, Jones) are read off
+    `simplified`, the Markov-reduced diagram. For a band word that
+    diagram starts from its leaf-retracted word (`retract_leaf_disks`),
+    while `artin`, `linking`, `component_records` and `surface` read the
+    input word. A knot is its own only component, so `component_records`
     of a knot is `(self,)`. A band word's record also holds its traced
     band surface, which selection and the splice contracts read.
     """
@@ -619,12 +672,20 @@ class Closure:
 
     @property
     def strands(self) -> int:
-        """The input diagram's strand count, on which Jones budgets are checked."""
+        """The input diagram's strand count, on which Jones budgets are checked.
+
+        It is read before any simplification: a 13-strand band word is
+        refused at budget 12 even when its simplified diagram has fewer
+        strands.
+        """
         return self.artin.strands
 
     @cached_property
     def simplified(self) -> ArtinWord:
-        return simplify_closure_word(self.artin)
+        word = self.word
+        if isinstance(word, BandWord):
+            word = retract_leaf_disks(word).expand_to_artin()
+        return simplify_closure_word(word)
 
     @cached_property
     def surface(self) -> BoundaryTrace:

@@ -1,12 +1,15 @@
 """The per-closure record: one determinant per closure, same answers as the oracles."""
 
+import random
 import sys
+from collections import Counter
 
 import pytest
 
 from sqpbands import (
     BandWord,
     BudgetExceeded,
+    Closure,
     LaurentPolynomial,
     alexander,
     bundled_alpha,
@@ -15,9 +18,12 @@ from sqpbands import (
     family,
     family_ledger,
     full_report,
+    kauffman_bracket_bruteforce,
+    retract_leaf_disks,
     seifert_matrix,
     signature,
     simplify_closure_word,
+    trace_boundary,
 )
 from sqpbands import invariants, surface
 from sqpbands.invariants import _diagram_is_split
@@ -166,3 +172,117 @@ def test_closure_simplifies_its_diagram_once(monkeypatch):
     record.alexander, record.signature, record.jones()
     full_report(record)
     assert len(calls) == 1
+
+
+# -- Leaf-disk retraction ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def random_band_words():
+    """The distinct words among 3000 seeded draws: 1-7 strands, 0-10 bands."""
+    rng = random.Random(20261018)
+    words = {}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        count = rng.randint(0, 10) if n > 1 else 0
+        letters = tuple(tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(count))
+        words.setdefault(BandWord(n, letters))
+    return list(words)
+
+
+def _retraction_mismatches(words):
+    """(word, field) for each value where a band word's record, whose diagram
+    starts from the leaf-retracted word, differs from the record of its Artin
+    expansion, which never retracts. A word with no leaf disk must give both
+    records one diagram. The others are compared invariant by invariant, and
+    those of at most 10 Artin letters also against the state sum over the
+    Artin record's diagram."""
+    bad = []
+    for word in words:
+        band, artin = Closure(word), Closure(word.expand_to_artin())
+        if retract_leaf_disks(word) == word:
+            if band.simplified != artin.simplified:
+                bad.append((word, "diagram"))
+            continue
+        for name in ("alexander", "signature", "determinant"):
+            if getattr(band, name) != getattr(artin, name):
+                bad.append((word, name))
+        band_comps = [c.alexander for c in band.component_records]
+        if band_comps != [c.alexander for c in artin.component_records]:
+            bad.append((word, "component_alexander"))
+        if band.jones() != artin.jones():
+            bad.append((word, "jones"))
+        if len(artin.artin) <= 10 and band.jones() != kauffman_bracket_bruteforce(
+            artin.simplified
+        ):
+            bad.append((word, "jones-state-sum"))
+    return bad
+
+
+def _retract_without_renumbering(word):
+    """A broken retraction: drops each leaf's band but leaves the disks as
+    they were numbered, so every retracted disk stays behind bare."""
+    letters = list(word.letters)
+    while True:
+        degree = Counter(d for band in letters for d in band)
+        leaf = next((p for p, (i, j) in enumerate(letters) if 1 in (degree[i], degree[j])), None)
+        if leaf is None:
+            return BandWord(word.strands, tuple(letters))
+        del letters[leaf]
+
+
+def test_retracted_diagrams_keep_every_closure_invariant(random_band_words):
+    words = random_band_words
+    assert _retraction_mismatches(words) == []
+    # The check is not vacuous: a good share of the words get a smaller diagram.
+    smaller = [
+        w
+        for w in words
+        if len(Closure(w).simplified) < len(simplify_closure_word(w.expand_to_artin()))
+    ]
+    assert len(smaller) > len(words) // 5
+
+
+def test_retraction_keeps_the_band_surface(random_band_words):
+    for word in random_band_words:
+        before, after = trace_boundary(word), trace_boundary(retract_leaf_disks(word))
+        assert (after.chi, after.betti, after.count) == (before.chi, before.betti, before.count)
+        # Surface components are labelled by their least disk, which a
+        # retraction may renumber, so the profiles compare as multisets.
+        assert sorted(g[1:] for g in after.genus_profile) == sorted(
+            g[1:] for g in before.genus_profile
+        )
+
+
+def test_a_retraction_that_forgets_to_renumber_is_caught(random_band_words, monkeypatch):
+    monkeypatch.setattr(invariants, "retract_leaf_disks", _retract_without_renumbering)
+    assert _retraction_mismatches(random_band_words[:100])
+
+
+def test_interior_leaf_disk_is_retracted():
+    # Disk 2 meets only b(2,3); the Artin simplifier destabilizes only at
+    # strands 1 and n, so it keeps all three strands of this Hopf link.
+    word = BandWord(3, ((1, 3), (1, 3), (2, 3)))
+    assert retract_leaf_disks(word) == HOPF
+    assert simplify_closure_word(word.expand_to_artin()).strands == 3
+    record, hopf = Closure(word), Closure(HOPF)
+    assert record.simplified == hopf.simplified
+    assert record.seifert.size == 1
+    assert (record.alexander, record.signature, record.jones()) == (
+        hopf.alexander,
+        hopf.signature,
+        hopf.jones(),
+    )
+    # The input word still answers for the diagram-level fields.
+    assert record.artin == word.expand_to_artin() and record.strands == 3
+    assert record.surface == trace_boundary(word)
+
+
+def test_jones_budget_reads_the_input_strand_count():
+    # A chain of 12 bands on 13 disks retracts to one bare disk.
+    word = BandWord(13, tuple((i, i + 1) for i in range(1, 13)))
+    record = Closure(word)
+    assert record.simplified.strands == 1
+    assert record.jones(12) == BudgetExceeded(13, 12)
+    assert full_report(record, budget=12).jones_budget_exceeded
+    assert full_report(record, budget=13).jones == LaurentPolynomial.one()
