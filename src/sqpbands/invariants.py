@@ -4,7 +4,10 @@ Everything here is integer arithmetic: Seifert matrices from the closed-braid
 diagram, Alexander polynomials det(V - tV^T) and signatures of V + V^T,
 both by the sparse fraction-free Bareiss kernel `laurent._Elimination`
 (row pivots for the determinant, diagonal pivots and a congruence fold
-for the signature), linking matrices from signed crossing counts,
+for the signature). The determinant's rows are built from the nonzero
+entries of V and V^T alone and handed to `laurent.sparse_laurent_det`: at
+the trefoil family's step 2, V - tV^T has 485 nonzero entries of 16,900.
+The module also holds linking matrices from signed crossing counts,
 component extraction, and the Jones polynomial via Temperley-Lieb
 transfer with a brute-force Kauffman state-sum as an independent oracle.
 
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .laurent import LaurentPolynomial, _Elimination, _unpack, laurent_det
+from .laurent import LaurentPolynomial, _Elimination, _unpack, laurent_det, sparse_laurent_det
 from .surface import BoundaryTrace, trace_boundary
 from .words import ArtinWord, BandWord, Permutation, underlying_permutation
 
@@ -105,14 +108,16 @@ def seifert_matrix(word: ArtinWord) -> SeifertMatrix:
 
 def alexander(v: SeifertMatrix) -> LaurentPolynomial:
     """Normalized Alexander polynomial det(V - t V^T)."""
-    n = v.size
-    if n == 0:
+    if v.size == 0:
         return LaurentPolynomial.one()
-    m = v.matrix
-    entries = [
-        [LaurentPolynomial({0: m[i][j], 1: -m[j][i]}) for j in range(n)] for i in range(n)
-    ]
-    return laurent_det(entries).normalized()
+    # Entry (i, j) is {0: V[i][j], 1: -V[j][i]}, present only where one is nonzero.
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(v.size)]
+    for i, row in enumerate(v.matrix):
+        for j, x in enumerate(row):
+            if x:
+                rows[i].setdefault(j, {})[0] = x
+                rows[j].setdefault(i, {})[1] = -x
+    return sparse_laurent_det(rows).normalized()
 
 
 def signature(v: SeifertMatrix) -> int:
@@ -723,12 +728,20 @@ class Closure:
     def determinant(self) -> int:
         return abs(self.alexander.evaluate_int(-1))
 
-    @cached_property
+    @property
     def component_records(self) -> tuple[Closure, ...]:
-        """One record per closure component, in permutation-cycle order."""
-        count = self.permutation.cycle_count()
-        if count == 1:
+        """One record per closure component, in permutation-cycle order.
+
+        A knot's `(self,)` is not cached: a record holding itself would be
+        a reference cycle, freed only by the cycle collector.
+        """
+        if self.permutation.cycle_count() == 1:
             return (self,)
+        return self._link_components
+
+    @cached_property
+    def _link_components(self) -> tuple[Closure, ...]:
+        count = self.permutation.cycle_count()
         return tuple(Closure(extract_component(self.artin, c)) for c in range(count))
 
     @cached_property

@@ -12,8 +12,8 @@ Python integer (t -> 2^b for b past the unit-circle Hadamard bound on the
 determinant's coefficients), so the inner loop runs on machine big-ints
 instead of dict-based polynomials. The elimination, `_Elimination`, keeps
 rows sparse, touches only the rows nonzero in the pivot column and scales
-the others lazily; it serves `int_det`, `laurent_det` and
-`invariants.signature`.
+the others lazily; it serves `int_det`, `sparse_laurent_det` (with its
+dense form `laurent_det`) and `invariants.signature`.
 """
 
 from __future__ import annotations
@@ -254,11 +254,13 @@ class LaurentPolynomial:
         return f"LaurentPolynomial({self.format('x')})"
 
 
-def _pack(poly: LaurentPolynomial, bits: int, min_exp: int) -> int:
-    """Evaluate x -> 2^bits after shifting exponents down by min_exp."""
+def _pack(coeffs: Mapping[int, int], bits: int, min_exp: int) -> int:
+    """Evaluate x -> 2^bits after shifting exponents down by min_exp; a zero
+    coefficient may sit below min_exp and is skipped."""
     total = 0
-    for e, c in poly.coeffs.items():
-        total += c << (bits * (e - min_exp))
+    for e, c in coeffs.items():
+        if c:
+            total += c << (bits * (e - min_exp))
     return total
 
 
@@ -280,8 +282,19 @@ def _unpack(value: int, bits: int) -> LaurentPolynomial:
 
 
 def laurent_det(matrix: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Exact determinant of a square matrix over Z[x, x^-1].
+    """Exact determinant of a square matrix over Z[x, x^-1]: the dense
+    form of `sparse_laurent_det`."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    return sparse_laurent_det([{j: p.coeffs for j, p in enumerate(row) if p} for row in matrix])
 
+
+def sparse_laurent_det(rows: Sequence[Mapping[int, Mapping[int, int]]]) -> LaurentPolynomial:
+    """Exact determinant of the n x n matrix over Z[x, x^-1] with these rows.
+
+    rows[i] maps column j to entry (i, j) as {exponent: coefficient}; an
+    absent column is a zero entry, so only the nonzero entries are read.
     Kronecker-packs entries at x = 2^b and runs the integer elimination of
     `_Elimination`. Every coefficient of the determinant is at most the
     unit-circle Hadamard bound sqrt(prod_i sum_j |p_ij|_1^2): a coefficient
@@ -290,24 +303,21 @@ def laurent_det(matrix: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynom
     integer elimination is exact at any width, so only the final
     determinant has to fit, and b past that bound unpacks it exactly.
     """
-    n = len(matrix)
+    n = len(rows)
     min_exp = 0
     square_bound = 1
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
+    for row in rows:
         row_norm = 0
-        for p in row:
-            if p.coeffs:
-                min_exp = min(min_exp, p.min_exp())
-                row_norm += sum(abs(c) for c in p.coeffs.values()) ** 2
+        for j, p in row.items():
+            if not 0 <= j < n:
+                raise ValueError("matrix must be square")
+            for e, c in p.items():
+                if c and e < min_exp:
+                    min_exp = e
+            row_norm += sum(abs(c) for c in p.values()) ** 2
         square_bound *= max(row_norm, 1)
     bits = max(math.isqrt(square_bound).bit_length() + 2, 4)
-    rows = [
-        {j: _pack(p, bits, min_exp) for j, p in enumerate(row) if p.coeffs}
-        for row in matrix
-    ]
-    det = _det(rows)
+    det = _det([{j: v for j, p in row.items() if (v := _pack(p, bits, min_exp))} for row in rows])
     return _unpack(det, bits).shift(min_exp * n) if det else LaurentPolynomial()
 
 

@@ -1,7 +1,9 @@
 """The per-closure record: one determinant per closure, same answers as the oracles."""
 
+import gc
 import random
 import sys
+import weakref
 from collections import Counter
 
 import pytest
@@ -34,20 +36,20 @@ TREFOIL = BandWord(2, ((1, 2), (1, 2), (1, 2)))
 
 @pytest.fixture(scope="module")
 def families():
-    """family(seed, 2) and a report per step, with every laurent_det size seen."""
+    """family(seed, 2) and a report per step, with every sparse_laurent_det size seen."""
     out = {}
     # Validate the annulus outside the spy, so only the families' determinants count.
     bundled_alpha()
-    original = invariants.laurent_det
+    original = invariants.sparse_laurent_det
     for name, seed in (("trefoil", TREFOIL), ("hopf", HOPF)):
         sizes = []
 
-        def spy(matrix, sizes=sizes):
-            sizes.append(len(matrix))
-            return original(matrix)
+        def spy(rows, sizes=sizes):
+            sizes.append(len(rows))
+            return original(rows)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(invariants, "laurent_det", spy)
+            mp.setattr(invariants, "sparse_laurent_det", spy)
             steps = family(seed, 2)
             for step in steps:
                 full_report(step.closure, with_jones=False)
@@ -172,6 +174,23 @@ def test_closure_simplifies_its_diagram_once(monkeypatch):
     record.alexander, record.signature, record.jones()
     full_report(record)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [TREFOIL, HOPF], ids=["trefoil", "hopf"])
+def test_a_reported_record_is_freed_without_the_cycle_collector(seed):
+    # A record that refers to itself would wait, with its simplified word,
+    # Seifert matrix, surface trace and Jones, for a cyclic GC pass.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        record = Closure(seed)
+        full_report(record)
+        ref = weakref.ref(record)
+        del record
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- Leaf-disk retraction ----------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from sqpbands import (
     underlying_permutation,
 )
 from sqpbands.invariants import _diagram_is_split
-from sqpbands.laurent import int_det
+from sqpbands.laurent import int_det, laurent_det
 
 from wordgen import ALPHA_TEXT, artin_words, band_words, random_sqp_word
 
@@ -271,8 +272,17 @@ def test_seifert_pipeline_matches_burau(word):
     assert Closure(word).alexander.is_unit_equivalent(burau_alexander_oracle(word))
 
 
+def _dense_alexander(v: SeifertMatrix) -> LaurentPolynomial:
+    """det(V - tV^T) from every one of the n^2 entries, by the dense `laurent_det`."""
+    m, n = v.matrix, v.size
+    dense = [[LaurentPolynomial({0: m[i][j], 1: -m[j][i]}) for j in range(n)] for i in range(n)]
+    return laurent_det(dense).normalized()
+
+
 @pytest.mark.parametrize("seed", ["b(1,2) b(1,2) b(1,2)", "b(1,2) b(1,2)"])
 def test_seifert_pipeline_matches_burau_on_step_3_family_words(seed):
+    # Each record's Δ, read off the nonzero entries, also equals (==) the
+    # dense determinant of the same Seifert matrix.
     steps = family(parse_band_word(seed, 2), 3)
     assert steps[-1].closure.seifert.size > 200
     for step in steps:
@@ -281,6 +291,33 @@ def test_seifert_pipeline_matches_burau_on_step_3_family_words(seed):
         words = [artin] + [extract_component(artin, c) for c in range(len(comps))]
         for record, word in zip((step.closure, *comps), words):
             assert record.alexander.is_unit_equivalent(burau_alexander_oracle(word))
+            split = _diagram_is_split(record.simplified)
+            dense = LaurentPolynomial.zero() if split else _dense_alexander(record.seifert)
+            assert record.alexander == dense
+
+
+def test_sparse_alexander_equals_the_dense_determinant_on_random_words():
+    # `alexander` reads only the nonzero entries of V and V^T; the packing
+    # width, the packed rows and so Δ itself must be those of the dense matrix.
+    rng = random.Random(20261019)
+    words = []
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        count = rng.randint(0, 14) if n > 1 else 0
+        letters = ((rng.randint(1, n - 1), rng.choice((1, -1))) for _ in range(count))
+        words.append(ArtinWord(n, tuple(letters)))
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        count = rng.randint(0, 7) if n > 1 else 0
+        bands = (tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(count))
+        words.append(BandWord(n, tuple(bands)).expand_to_artin())
+    sizes = Counter()
+    for word in words:
+        v = seifert_matrix(word)
+        assert alexander(v) == _dense_alexander(v), word
+        kind = "empty" if v.size == 0 else "split" if _diagram_is_split(word) else "connected"
+        sizes[kind] += 1
+    assert min(sizes.values()) > 100, sizes
 
 
 @given(band_words(max_strands=6, max_len=9))

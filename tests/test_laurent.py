@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqpbands import LaurentPolynomial
-from sqpbands.laurent import int_det, laurent_det
+from sqpbands.laurent import int_det, laurent_det, sparse_laurent_det
 
 polys = st.builds(
     LaurentPolynomial,
@@ -113,6 +113,28 @@ def test_laurent_det_matches_cofactor_expansion(n, data):
         return total
 
     assert laurent_det(matrix) == cofactor(matrix)
+
+
+@given(st.integers(0, 6), st.data())
+@settings(max_examples=60)
+def test_sparse_laurent_det_reads_only_nonzero_terms(n, data):
+    # Entries may be absent, empty or carry zero coefficients (at exponents
+    # below every nonzero one, too); none of them may move the result.
+    entries = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=3)
+    rows = [
+        data.draw(st.dictionaries(st.integers(0, n - 1), entries, max_size=n)) for _ in range(n)
+    ]
+    dense = [[LaurentPolynomial(row.get(j, {})) for j in range(n)] for row in rows]
+    assert sparse_laurent_det(rows) == laurent_det(dense)
+
+
+def test_sparse_laurent_det_rejects_a_column_outside_the_square():
+    with pytest.raises(ValueError, match="square"):
+        sparse_laurent_det([{0: {0: 1}}, {2: {1: 1}}])
+    with pytest.raises(ValueError, match="square"):
+        sparse_laurent_det([{-1: {0: 1}}])
+    with pytest.raises(ValueError, match="square"):
+        laurent_det([[LaurentPolynomial.one()], []])
 
 
 def _fraction_det(m):
