@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .acceptance import run_suite
-from .invariants import DEFAULT_JONES_BUDGET, full_report
+from .invariants import DEFAULT_JONES_BUDGET, Closure, full_report
 from .report import ReportEnvelope, compare_with_expected, load_corpus
 from .selection import RelocationLostError, UnlinkInputError
 from .surface import TracingBugError, trace_boundary
@@ -63,8 +63,9 @@ def _annulus_from_arg(kind: str) -> AnnulusWord:
     for key in ("strands", "designated_band", "expected_linking", "marked"):
         if type(data.get(key, 0)) is not int:
             raise ValueError(f"{kind}: annulus field {key!r} must be an integer")
-    if not isinstance(data["word"], str):
-        raise ValueError(f"{kind}: annulus field 'word' must be a string")
+    for key in ("word", "companion_name"):
+        if not isinstance(data.get(key, ""), str):
+            raise ValueError(f"{kind}: annulus field {key!r} must be a string")
     if not _is_pairs(data["companion_alexander"], int):
         raise ValueError(
             f"{kind}: annulus field 'companion_alexander' must be a list of "
@@ -88,7 +89,6 @@ def _annulus_from_arg(kind: str) -> AnnulusWord:
 
 def cmd_validate(args) -> int:
     env = ReportEnvelope("validate", {"word": args.word, "strands": args.strands})
-    env.tool_version = __version__
     try:
         word = parse_band_word(args.word, args.strands)
         trace = trace_boundary(word)  # runs the permutation cross-check
@@ -133,17 +133,15 @@ def cmd_invariants(args) -> int:
             "budget": args.budget,
         },
     )
-    env.tool_version = __version__
+    if args.artin and args.svg:
+        return _emit_error(env, args, "--svg draws band diagrams; give a band word", EXIT_INPUT)
     try:
         if args.artin:
             word = parse_artin_word(args.word, args.strands)
         else:
             word = parse_band_word(args.word, args.strands)
-        report = full_report(word, with_jones=args.with_jones, budget=args.budget)
-        env.reports.append(report.to_json_dict())
+        env.reports.append(full_report(word, with_jones=args.with_jones, budget=args.budget))
         if args.svg:
-            if args.artin:
-                raise WordSyntaxError("--svg draws band diagrams; give a band word")
             with open(args.svg, "w") as fh:
                 fh.write(band_diagram_svg(word))
     except (WordSyntaxError, OSError) as exc:
@@ -165,7 +163,6 @@ def cmd_family(args) -> int:
             "budget": args.budget,
         },
     )
-    env.tool_version = __version__
     try:
         word = parse_band_word(args.word, args.strands)
         annulus = _annulus_from_arg(args.annulus)
@@ -179,8 +176,9 @@ def cmd_family(args) -> int:
         entries = []
         for step in steps:
             entry = step.to_json_dict()
-            report = full_report(step.closure, with_jones=args.with_jones, budget=args.budget)
-            entry["report"] = report.to_json_dict()
+            entry["report"] = full_report(
+                step.closure, with_jones=args.with_jones, budget=args.budget
+            )
             entries.append(entry)
         ledger = family_ledger(steps, annulus, args.with_jones, args.budget)
     except TracingBugError as exc:
@@ -193,12 +191,11 @@ def cmd_family(args) -> int:
 
 def cmd_selftest(args) -> int:
     env = ReportEnvelope("selftest", {"budget": args.budget})
-    env.tool_version = __version__
     results = run_suite(budget=args.budget)
     corpus_fail = 0
     for entry in load_corpus():
-        report = full_report(entry.word, budget=min(args.budget, 8))
-        for name, ok, detail in compare_with_expected(entry, report):
+        checks = compare_with_expected(entry, Closure(entry.word), min(args.budget, 8))
+        for name, ok, detail in checks:
             if not ok:
                 corpus_fail += 1
                 print(f"corpus {entry.name}: {name} MISMATCH {detail}", file=sys.stderr)

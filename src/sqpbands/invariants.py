@@ -11,6 +11,10 @@ The module also holds linking matrices from signed crossing counts,
 component extraction, and the Jones polynomial via Temperley-Lieb
 transfer with a brute-force Kauffman state-sum as an independent oracle.
 
+`Closure` is the one record of a closure's invariants, each computed at
+most once. `full_report` serializes a record straight to the CLI's JSON
+report; callers that want typed values read the record itself.
+
 Sign conventions are calibrated once against two anchors and then frozen:
 the closure of s1^3 is the right-handed trefoil with signature -2, and the
 Seifert-pipeline Alexander polynomial agrees with the reduced-Burau
@@ -20,7 +24,7 @@ determinant formula on a corpus of words of both crossing signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .laurent import LaurentPolynomial, _Elimination, _unpack, laurent_det, sparse_laurent_det
@@ -594,55 +598,6 @@ def slice_necessary(delta: LaurentPolynomial) -> tuple[bool, bool]:
     return (abs(at_one) == 1, math.isqrt(at_minus) ** 2 == at_minus)
 
 
-@dataclass
-class InvariantReport:
-    """Per-link invariant record; see full_report."""
-
-    word_text: str
-    artin_text: str
-    strands: int
-    components: int
-    chi: int
-    betti: int
-    linking: tuple[tuple[int, ...], ...]
-    alexander: LaurentPolynomial
-    signature: int
-    determinant: int
-    component_polys: tuple[LaurentPolynomial, ...]
-    component_slice_flags: tuple[tuple[bool, bool], ...]
-    jones: LaurentPolynomial | None = None
-    jones_budget_exceeded: bool = False
-    genus_profile: tuple[tuple[int, int, int], ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        if len(self.linking) != self.components:
-            raise AssertionError("linking matrix size differs from component count")
-        if abs(self.alexander.evaluate_int(-1)) != self.determinant:
-            raise AssertionError("determinant field differs from |Delta(-1)|")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "word": self.word_text,
-            "artin_word": self.artin_text,
-            "strands": self.strands,
-            "components": self.components,
-            "chi": self.chi,
-            "betti": self.betti,
-            "linking_matrix": [list(row) for row in self.linking],
-            "alexander": self.alexander.to_pairs(),
-            "alexander_str": self.alexander.format("t"),
-            "signature": self.signature,
-            "determinant": self.determinant,
-            "component_alexander": [p.to_pairs() for p in self.component_polys],
-            "component_alexander_str": [p.format("t") for p in self.component_polys],
-            "component_slice_flags": [list(f) for f in self.component_slice_flags],
-            "jones": None if self.jones is None else self.jones.to_pairs(),
-            "jones_str": None if self.jones is None else self.jones.format("t", 4),
-            "jones_budget_exceeded": self.jones_budget_exceeded,
-            "genus_profile": [list(g) for g in self.genus_profile],
-        }
-
-
 def _diagram_is_split(word: ArtinWord) -> bool:
     """True when some column has no crossings and strands live on both sides."""
     used = {k for k, _ in word.letters}
@@ -762,10 +717,12 @@ def full_report(
     word: BandWord | ArtinWord | Closure,
     with_jones: bool = True,
     budget: int = DEFAULT_JONES_BUDGET,
-) -> InvariantReport:
-    """Populate every invariant field for the closure of `word`.
+) -> dict:
+    """The closure's invariant report, as the JSON dict the CLI emits.
 
-    Given a Closure, the report reads (and fills) that record's fields.
+    Every value is read off the closure's record; given a Closure, the
+    report reads (and fills) that record's fields. Jones is left out
+    (None) without `with_jones`, and refused above `budget` strands.
     """
     closure = word if isinstance(word, Closure) else Closure(word)
     word = closure.word
@@ -778,24 +735,34 @@ def full_report(
         chi = word.strands - len(word.letters)
         betti = len(word.letters) - len({k for k, _ in word.letters})
         profile = ()
-
-    comp_polys = tuple(c.alexander for c in closure.component_records)
+    components = closure.permutation.cycle_count()
+    if len(closure.linking) != components:
+        raise AssertionError("linking matrix size differs from component count")
+    delta = closure.alexander
+    if abs(delta.evaluate_int(-1)) != closure.determinant:
+        raise AssertionError("determinant field differs from |Delta(-1)|")
+    polys = [c.alexander for c in closure.component_records]
     jones = closure.jones(budget) if with_jones else None
     exceeded = isinstance(jones, BudgetExceeded)
-    return InvariantReport(
-        word_text=word.to_text(),
-        artin_text=closure.artin.to_text(),
-        strands=word.strands,
-        components=closure.permutation.cycle_count(),
-        chi=chi,
-        betti=betti,
-        linking=closure.linking,
-        alexander=closure.alexander,
-        signature=closure.signature,
-        determinant=closure.determinant,
-        component_polys=comp_polys,
-        component_slice_flags=tuple(slice_necessary(p) for p in comp_polys),
-        jones=None if exceeded else jones,
-        jones_budget_exceeded=exceeded,
-        genus_profile=profile,
-    )
+    if exceeded:
+        jones = None
+    return {
+        "word": word.to_text(),
+        "artin_word": closure.artin.to_text(),
+        "strands": word.strands,
+        "components": components,
+        "chi": chi,
+        "betti": betti,
+        "linking_matrix": [list(row) for row in closure.linking],
+        "alexander": delta.to_pairs(),
+        "alexander_str": delta.format("t"),
+        "signature": closure.signature,
+        "determinant": closure.determinant,
+        "component_alexander": [p.to_pairs() for p in polys],
+        "component_alexander_str": [p.format("t") for p in polys],
+        "component_slice_flags": [list(slice_necessary(p)) for p in polys],
+        "jones": None if jones is None else jones.to_pairs(),
+        "jones_str": None if jones is None else jones.format("t", 4),
+        "jones_budget_exceeded": exceeded,
+        "genus_profile": [list(g) for g in profile],
+    }

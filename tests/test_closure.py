@@ -303,5 +303,5 @@ def test_jones_budget_reads_the_input_strand_count():
     record = Closure(word)
     assert record.simplified.strands == 1
     assert record.jones(12) == BudgetExceeded(13, 12)
-    assert full_report(record, budget=12).jones_budget_exceeded
-    assert full_report(record, budget=13).jones == LaurentPolynomial.one()
+    assert full_report(record, budget=12)["jones_budget_exceeded"]
+    assert full_report(record, budget=13)["jones"] == LaurentPolynomial.one().to_pairs()

@@ -90,7 +90,7 @@ def test_matrix_size_is_betti_of_seifert_surface():
         words.append(ArtinWord(n, letters))
     assert any(_diagram_is_split(w) for w in words)
     for w in words:
-        assert full_report(w, with_jones=False).betti == seifert_matrix(w).size
+        assert full_report(w, with_jones=False)["betti"] == seifert_matrix(w).size
 
 
 def test_alexander_via_extracted_alpha_component():
@@ -415,34 +415,46 @@ def test_slice_necessary_examples():
 
 def test_full_report_alpha():
     report = full_report(parse_band_word(ALPHA_TEXT, 8))
-    assert report.components == 2
-    assert report.chi == 0 and report.betti == 1
-    assert report.linking == ((0, 1), (1, 0))
+    assert report["components"] == 2
+    assert report["chi"] == 0 and report["betti"] == 1
+    assert report["linking_matrix"] == [[0, 1], [1, 0]]
     assert all(
-        p.is_unit_equivalent(COMPANION_DELTA) for p in report.component_polys
+        LaurentPolynomial.from_pairs(p).is_unit_equivalent(COMPANION_DELTA)
+        for p in report["component_alexander"]
     )
-    assert report.component_slice_flags == ((True, True), (True, True))
+    assert report["component_slice_flags"] == [[True, True], [True, True]]
 
 
 def test_full_report_unknot():
     report = full_report(BandWord(1, ()))
-    assert report.components == 1
-    assert report.alexander == LaurentPolynomial.one()
-    assert report.signature == 0 and report.determinant == 1
-    assert report.jones == LaurentPolynomial.one()
+    assert report["components"] == 1
+    assert report["alexander"] == LaurentPolynomial.one().to_pairs()
+    assert report["signature"] == 0 and report["determinant"] == 1
+    assert report["jones"] == LaurentPolynomial.one().to_pairs()
 
 
 def test_full_report_split_has_zero_alexander():
     report = full_report(BandWord(2, ()))
-    assert report.components == 2
-    assert report.alexander.is_zero()
-    assert report.determinant == 0
+    assert report["components"] == 2
+    assert LaurentPolynomial.from_pairs(report["alexander"]).is_zero()
+    assert report["determinant"] == 0
 
 
 def test_report_internal_consistency_guard():
-    report = full_report(BandWord(2, ((1, 2), (1, 2))))
-    assert len(report.linking) == report.components
-    assert abs(report.alexander.evaluate_int(-1)) == report.determinant
+    hopf = BandWord(2, ((1, 2), (1, 2)))
+    report = full_report(hopf)
+    assert len(report["linking_matrix"]) == report["components"]
+    delta = LaurentPolynomial.from_pairs(report["alexander"])
+    assert abs(delta.evaluate_int(-1)) == report["determinant"]
+    # A record whose fields disagree is refused by a raised error, not an assert.
+    record = Closure(hopf)
+    record.linking = ((0,),)
+    with pytest.raises(AssertionError, match="linking matrix size"):
+        full_report(record)
+    record = Closure(hopf)
+    record.determinant = 3
+    with pytest.raises(AssertionError, match="Delta"):
+        full_report(record)
 
 
 # -- frozen convention regression ----------------------------------------

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from sqpbands import SurfaceGraph, cli, full_report, parse_band_word
+import sqpbands
+from sqpbands import Closure, SurfaceGraph, cli, parse_band_word
 from sqpbands.report import ReportEnvelope, compare_with_expected, load_corpus
 from sqpbands.surface import TracingBugError
 from sqpbands.svg import band_diagram_svg
@@ -21,13 +22,22 @@ def run_cli(*args):
 
 def test_envelope_roundtrip():
     env = ReportEnvelope("invariants", {"word": "b(1,2)", "strands": 2})
-    env.tool_version = "0.1.0"
     env.reports.append({"components": 1})
     env.finish()
     again = ReportEnvelope.from_json(env.to_json())
     assert again.subcommand == "invariants"
     assert again.reports == [{"components": 1}]
     assert again.schema_version == env.schema_version
+    assert again.tool_version == sqpbands.__version__
+    # A stored version is restored as written, not replaced by this one.
+    stored = json.loads(env.to_json())
+    stored["tool_version"] = "0.0.1"
+    assert ReportEnvelope.from_json(json.dumps(stored)).tool_version == "0.0.1"
+
+
+def test_every_exported_name_resolves():
+    for name in sqpbands.__all__:
+        assert hasattr(sqpbands, name), name
 
 
 def test_corpus_loads_and_replays():
@@ -36,8 +46,7 @@ def test_corpus_loads_and_replays():
     names = {entry.name for entry in corpus}
     assert {"alpha", "trefoil", "hopf"} <= names
     for entry in corpus:
-        report = full_report(entry.word, budget=8)
-        for name, ok, detail in compare_with_expected(entry, report):
+        for name, ok, detail in compare_with_expected(entry, Closure(entry.word), 8):
             assert ok, f"{entry.name}:{name} {detail}"
 
 
@@ -73,6 +82,31 @@ def test_cli_invariants_json_schema():
     assert report["determinant"] == 3
     assert report["alexander_str"] == "t^2 - t + 1"
     assert report["jones_str"] is not None
+
+
+def test_cli_invariants_artin_word_report():
+    r = run_cli("invariants", "s1 s1 s1", "--strands", "2", "--artin", "--json")
+    assert r.returncode == 0
+    report = json.loads(r.stdout)["reports"][0]
+    # Seifert's surface of the diagram: chi = strands - letters, b1 = letters - columns.
+    assert report["components"] == 1
+    assert report["chi"] == -1 and report["betti"] == 2
+    assert report["alexander"] == [[0, 1], [1, -1], [2, 1]]
+    assert report["signature"] == -2 and report["determinant"] == 3
+    assert report["genus_profile"] == []
+
+
+def test_cli_invariants_artin_svg_is_refused_before_the_report(tmp_path, capsys):
+    out = tmp_path / "x.svg"
+    code = cli.main(
+        ["invariants", "s1 s1 s1", "--strands", "2", "--artin", "--svg", str(out), "--json"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["error"]["exit_code"] == 1
+    assert "band word" in payload["error"]["message"]
+    assert payload["reports"] == []
+    assert not out.exists()
 
 
 def test_cli_invariants_budget_skips_jones():
@@ -216,6 +250,7 @@ def _without(key):
         ({**_GOOD_ANNULUS, "companion_alexander": 5}, "companion_alexander"),
         ({**_GOOD_ANNULUS, "splice": 3}, "splice"),
         ({**_GOOD_ANNULUS, "word": 7}, "word"),
+        ({**_GOOD_ANNULUS, "companion_name": ["x"]}, "companion_name"),
     ],
     ids=[
         "list",
@@ -225,6 +260,7 @@ def _without(key):
         "non-list-companion-alexander",
         "non-list-splice",
         "non-string-word",
+        "non-string-companion-name",
     ],
 )
 def test_cli_family_malformed_annulus_file_exits_1(tmp_path, spec, field):

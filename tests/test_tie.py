@@ -5,6 +5,7 @@ import pytest
 
 from sqpbands import (
     BandWord,
+    Closure,
     LaurentPolynomial,
     OracleViolationError,
     SelectionInvalidError,
@@ -12,7 +13,6 @@ from sqpbands import (
     bundled_alpha,
     classify_and_select,
     family,
-    full_report,
     jones_tl,
     linking_matrix,
     persistent_selection,
@@ -79,12 +79,12 @@ def test_annulus_validation_checks_the_companion_polynomial():
 def test_trivial_tie_on_trefoil_is_invariant_neutral():
     result = tie(trivial_annulus(), TREFOIL, classify_and_select(TREFOIL))
     assert result.word.strands == 4
-    before, after = full_report(TREFOIL), full_report(result.word)
-    assert after.components == before.components == 1
+    before, after = Closure(TREFOIL), Closure(result.word)
+    assert after.permutation.cycle_count() == before.permutation.cycle_count() == 1
     assert after.alexander.is_unit_equivalent(before.alexander)
     assert after.signature == before.signature == -2
     assert after.determinant == before.determinant == 3
-    assert after.jones == before.jones
+    assert after.jones() == before.jones()
 
 
 def test_bundled_tie_on_hopf_case1():
@@ -173,10 +173,10 @@ def test_family_selection_persists_through_relocations():
 def test_trivial_family_control():
     steps = family(TREFOIL, 2, annulus=trivial_annulus())
     for step in steps:
-        report = full_report(step.word)
-        assert report.components == 1
-        assert report.alexander.is_unit_equivalent(TREFOIL_DELTA)
-        assert report.signature == -2
+        record = Closure(step.word)
+        assert record.permutation.cycle_count() == 1
+        assert record.alexander.is_unit_equivalent(TREFOIL_DELTA)
+        assert record.signature == -2
 
 
 def test_random_seeds_tie_cleanly():
@@ -196,14 +196,14 @@ def test_random_seeds_trivial_control_is_neutral():
     for _ in range(5):
         seed = random_sqp_word(rng, max_strands=4, max_len=7, non_unlink=True)
         result = tie(ann, seed, classify_and_select(seed))
-        before, after = full_report(seed), full_report(result.word)
-        assert after.components == before.components
+        before, after = Closure(seed), Closure(result.word)
+        assert after.permutation.cycle_count() == before.permutation.cycle_count()
         assert after.linking == before.linking
         assert after.alexander.is_unit_equivalent(before.alexander)
         assert after.signature == before.signature
-        assert after.jones == before.jones
-        assert [p.normalized() for p in after.component_polys] == [
-            p.normalized() for p in before.component_polys
+        assert after.jones() == before.jones()
+        assert [c.alexander.normalized() for c in after.component_records] == [
+            c.alexander.normalized() for c in before.component_records
         ]
 
 
