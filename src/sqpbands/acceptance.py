@@ -1,15 +1,17 @@
 """Acceptance suite: one runner per criterion, shared by tests and CLI.
 
-Each criterion function returns a CriterionResult with its pass/fail
-status, timing against the stated budget, and sub-check details. A
-criterion passes only if every exact check holds and the runtime stays
-inside its budget. Checks that need the Jones engine honor the strand
-budget and degrade to "skipped" entries rather than failures when the
-budget rules a word out.
+Each criterion returns a CriterionResult: its `Certificate` ledger and
+its timing against the stated budget. A criterion passes only if no
+certificate fails (a runner that raises records a failed one) and the
+runtime stays inside its budget. Checks that need the Jones engine honor
+the strand budget and degrade to "skipped" entries rather than failures
+when the budget rules a word out. Criterion 2 also replays the bundled
+corpus against its sidecars.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -24,10 +26,10 @@ from .invariants import (
     slice_necessary,
 )
 from .laurent import LaurentPolynomial
-from .report import load_corpus
+from .report import Certificate, compare_with_expected, load_corpus
 from .selection import UnlinkInputError, classify_and_select
 from .surface import is_unlink_surface, surface_graph
-from .tie import bundled_alpha, family, tie, trivial_annulus
+from .tie import bundled_alpha, family, tb_connected_sum, tie, trivial_annulus
 from .words import BandWord
 
 RANDOM_SEED = 20260809
@@ -44,24 +46,18 @@ class CriterionResult:
     number: int
     name: str
     budget_s: float
-    passed: bool = True
     elapsed_s: float = 0.0
-    checks: list[tuple[str, str, str]] = field(default_factory=list)  # (name, status, detail)
+    checks: list[Certificate] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.status != "fail" for c in self.checks)
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks.append((name, "pass" if ok else "fail", detail))
-        if not ok:
-            self.passed = False
+        self.checks.append(Certificate.of(name, ok, detail))
 
     def note(self, name: str, status: str, detail: str = "") -> None:
-        self.checks.append((name, status, detail))
-
-    def finish(self, t0: float) -> CriterionResult:
-        self.elapsed_s = time.perf_counter() - t0
-        if self.elapsed_s > self.budget_s:
-            self.passed = False
-            self.note("runtime", "fail", f"{self.elapsed_s:.1f}s over {self.budget_s:.0f}s budget")
-        return self
+        self.checks.append(Certificate(name, status, detail))
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -74,8 +70,35 @@ class CriterionResult:
             "passed": self.passed,
             "elapsed_s": round(self.elapsed_s, 3),
             "budget_s": self.budget_s,
-            "checks": [{"name": n, "status": s, "detail": d} for n, s, d in self.checks],
+            "checks": [c.to_json_dict() for c in self.checks],
         }
+
+
+def criterion(number: int, name: str, budget_s: float):
+    """Turn `body(res, budget)` into a runner returning its timed CriterionResult.
+
+    A body that raises fails its criterion: the certificates the exception
+    carries are kept, then one `fail` certificate names the exception.
+    """
+
+    def wrap(body):
+        @functools.wraps(body)
+        def run(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+            t0 = time.perf_counter()
+            res = CriterionResult(number, name, budget_s)
+            try:
+                body(res, budget)
+            except Exception as exc:
+                res.checks.extend(getattr(exc, "certificates", ()))
+                res.note("raised", "fail", f"{type(exc).__name__}: {exc}")
+            res.elapsed_s = time.perf_counter() - t0
+            if res.elapsed_s > budget_s:
+                res.note("runtime", "fail", f"{res.elapsed_s:.1f}s over {budget_s:.0f}s budget")
+            return res
+
+        return run
+
+    return wrap
 
 
 def _random_sqp_words(rng: random.Random, count: int, require_non_unlink: bool = False):
@@ -91,10 +114,9 @@ def _random_sqp_words(rng: random.Random, count: int, require_non_unlink: bool =
     return words
 
 
-def criterion_1_alpha(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+@criterion(1, "alpha-verification", 5.0)
+def criterion_1_alpha(res: CriterionResult, budget: int) -> None:
     """Bundled annulus word: surface data and companion polynomial."""
-    t0 = time.perf_counter()
-    res = CriterionResult(1, "alpha-verification", 5.0)
     closure = Closure(bundled_alpha().word)
     surface = closure.surface
     res.check("connected", surface.graph.component_count == 1)
@@ -114,24 +136,23 @@ def criterion_1_alpha(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
         res.check(f"component-{comp}-determinant", det == 9, f"det = {det}")
         flags = slice_necessary(delta)
         res.check(f"component-{comp}-slice-flags", flags == (True, True), str(flags))
-    return res.finish(t0)
 
 
-def criterion_2_oracles(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
-    """Seifert pipeline vs Burau; TL Jones vs brute-force state sum."""
-    t0 = time.perf_counter()
-    res = CriterionResult(2, "oracle-equivalence", 30.0)
+@criterion(2, "oracle-equivalence", 30.0)
+def criterion_2_oracles(res: CriterionResult, budget: int) -> None:
+    """Seifert pipeline vs Burau; TL Jones vs state sum; corpus sidecar replay."""
     rng = random.Random(RANDOM_SEED)
     corpus = load_corpus()
-    words = [(entry.name, entry.word) for entry in corpus]
-    words += [
-        (f"random-{i}", w) for i, w in enumerate(_random_sqp_words(rng, 20))
-    ]
-    for name, word in words:
+    randoms = enumerate(_random_sqp_words(rng, 20))
+    words = [(entry.name, entry.word, entry) for entry in corpus]
+    words += [(f"random-{i}", w, None) for i, w in randoms]
+    for name, word, entry in words:
         closure = Closure(word)
         mine = closure.alexander
         ref = burau_alexander_oracle(closure.artin)
         res.check(f"alexander:{name}", mine.is_unit_equivalent(ref), mine.format())
+        if entry is not None:
+            res.checks += compare_with_expected(entry, closure, min(budget, 8))
     jones_checked = 0
     for entry in corpus:
         artin = entry.word.expand_to_artin()
@@ -145,13 +166,11 @@ def criterion_2_oracles(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
         res.check(f"jones:{entry.name}", tl == brute, tl.format("t", 4))
         jones_checked += 1
     res.note("jones-coverage", "pass", f"{jones_checked} words vs 2^c state sums")
-    return res.finish(t0)
 
 
-def criterion_3_selection(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+@criterion(3, "band-selection", 1.0)
+def criterion_3_selection(res: CriterionResult, budget: int) -> None:
     """Case classification anchors and unlink rejection."""
-    t0 = time.perf_counter()
-    res = CriterionResult(3, "band-selection", 1.0)
     sel_hopf = classify_and_select(HOPF)
     res.check("hopf-case1", sel_hopf.case == "Case1" and sel_hopf.band == 1, str(sel_hopf))
     sel_tref = classify_and_select(TREFOIL)
@@ -168,13 +187,11 @@ def criterion_3_selection(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult
             res.check(f"unlink-rejected:{unlink}", False, "no error raised")
         except UnlinkInputError:
             res.check(f"unlink-rejected:{unlink}", True)
-    return res.finish(t0)
 
 
-def criterion_4_trivial_control(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+@criterion(4, "trivial-annulus-control", 60.0)
+def criterion_4_trivial_control(res: CriterionResult, budget: int) -> None:
     """Splicing the unknot annulus changes no computed invariant."""
-    t0 = time.perf_counter()
-    res = CriterionResult(4, "trivial-annulus-control", 60.0)
     annulus = trivial_annulus()
     for target in (TREFOIL, HOPF):
         tname = "trefoil" if target is TREFOIL else "hopf"
@@ -198,13 +215,11 @@ def criterion_4_trivial_control(budget: int = DEFAULT_JONES_BUDGET) -> Criterion
             res.check(f"{tname}:jones", jones[0] == jones[1])
         else:
             res.note(f"{tname}:jones", "skipped", f"strand budget {budget}")
-    return res.finish(t0)
 
 
-def criterion_5_case1_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+@criterion(5, "case1-family", 120.0)
+def criterion_5_case1_family(res: CriterionResult, budget: int) -> None:
     """Hopf-band seed: component polynomials grow by the companion factor."""
-    t0 = time.perf_counter()
-    res = CriterionResult(5, "case1-family", 120.0)
     steps = family(HOPF, 3)
     seen_polys = []
     for i, step in enumerate(steps):
@@ -229,13 +244,11 @@ def criterion_5_case1_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionRes
         distinct,
         "component polynomials pairwise distinct for i <= 3",
     )
-    return res.finish(t0)
 
 
-def criterion_6_case2_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+@criterion(6, "case2-family", 300.0)
+def criterion_6_case2_family(res: CriterionResult, budget: int) -> None:
     """Trefoil seed: concordance invariants constant, Jones witness at i=1."""
-    t0 = time.perf_counter()
-    res = CriterionResult(6, "case2-family", 300.0)
     steps = family(TREFOIL, 2)
     for i, step in enumerate(steps):
         delta = step.closure.alexander
@@ -265,13 +278,11 @@ def criterion_6_case2_family(budget: int = DEFAULT_JONES_BUDGET) -> CriterionRes
         "distinguishing delta_i for i >= 2 relies on the cited satellite "
         "rigidity theorem; not machine-checked by any invariant computed here",
     )
-    return res.finish(t0)
 
 
-def criterion_7_tie_ledger(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+@criterion(7, "tie-oracle-ledger", 300.0)
+def criterion_7_tie_ledger(res: CriterionResult, budget: int) -> None:
     """Full splice oracle suite over 50 random seeds."""
-    t0 = time.perf_counter()
-    res = CriterionResult(7, "tie-oracle-ledger", 300.0)
     rng = random.Random(RANDOM_SEED + 7)
     seeds = _random_sqp_words(rng, 50, require_non_unlink=True)
     annulus = bundled_alpha()
@@ -279,29 +290,23 @@ def criterion_7_tie_ledger(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResul
     for idx, seed in enumerate(seeds):
         selection = classify_and_select(seed)
         cases[selection.case] += 1
-        result = tie(annulus, seed, selection)  # raises OracleViolationError on failure
-        bad = [c for c in result.certificates if c.status == "fail"]
-        res.check(
+        tie(annulus, seed, selection)  # raises OracleViolationError on a failed contract
+        res.note(
             f"seed-{idx}",
-            not bad,
+            "pass",
             f"{selection.case}, B_{seed.strands}, {len(seed.letters)} letters",
         )
     res.note("case-mix", "pass", f"{cases['Case1']} Case1 / {cases['Case2']} Case2 seeds")
-    return res.finish(t0)
 
 
-def criterion_8_tb(budget: int = DEFAULT_JONES_BUDGET) -> CriterionResult:
+@criterion(8, "tb-arithmetic", 1.0)
+def criterion_8_tb(res: CriterionResult, budget: int) -> None:
     """Connected-sum arithmetic for the maximal Thurston-Bennequin number."""
-    from .tie import tb_connected_sum
-
-    t0 = time.perf_counter()
-    res = CriterionResult(8, "tb-arithmetic", 1.0)
     res.check("single", tb_connected_sum([-1]) == -1)
     for m in range(1, 11):
         value = tb_connected_sum([-1] * m)
         res.check(f"m={m}", value == -1, f"TB(K_{m}) = {value}")
     res.check("mixed", tb_connected_sum([-1, -2]) == -2)
-    return res.finish(t0)
 
 
 ALL_CRITERIA = (

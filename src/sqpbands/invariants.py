@@ -735,12 +735,7 @@ def full_report(
         chi = word.strands - len(word.letters)
         betti = len(word.letters) - len({k for k, _ in word.letters})
         profile = ()
-    components = closure.permutation.cycle_count()
-    if len(closure.linking) != components:
-        raise AssertionError("linking matrix size differs from component count")
     delta = closure.alexander
-    if abs(delta.evaluate_int(-1)) != closure.determinant:
-        raise AssertionError("determinant field differs from |Delta(-1)|")
     polys = [c.alexander for c in closure.component_records]
     jones = closure.jones(budget) if with_jones else None
     exceeded = isinstance(jones, BudgetExceeded)
@@ -750,7 +745,7 @@ def full_report(
         "word": word.to_text(),
         "artin_word": closure.artin.to_text(),
         "strands": word.strands,
-        "components": components,
+        "components": closure.permutation.cycle_count(),
         "chi": chi,
         "betti": betti,
         "linking_matrix": [list(row) for row in closure.linking],

@@ -1,19 +1,20 @@
-"""JSON report envelope and the bundled regression corpus.
+"""JSON report envelope, the one check record, and the regression corpus.
 
 The envelope is the machine interface of the CLI: schema-versioned,
-round-trippable JSON with every assertion carried as an explicit
-pass/fail/paper-cited entry. Its invariant reports are the JSON form of
-a `Closure` (`invariants.full_report`). The corpus is a set of band words
-with expected-value sidecars generated from the independent oracles
-(Burau, brute-force state sum, hand counts); the self-test replays it
-against each word's `Closure` to anchor every convention against drift.
+round-trippable JSON in which every check (splice contract, non-isotopy
+claim, acceptance check, corpus value) is a `Certificate` with an
+explicit pass/fail/skipped/paper-cited status. Its invariant reports are
+the JSON form of a `Closure` (`invariants.full_report`). The corpus is a
+set of band words with expected-value sidecars generated from the
+independent oracles (Burau, brute-force state sum, hand counts);
+acceptance criterion 2 replays it against each word's `Closure`.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from . import __version__
@@ -22,6 +23,22 @@ from .laurent import LaurentPolynomial
 from .words import BandWord, parse_band_word
 
 SCHEMA_VERSION = "1"
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """One exact check, as it appears in every ledger and report."""
+
+    name: str
+    status: str  # "pass" | "fail" | "skipped" | "paper-cited"
+    detail: str = ""
+
+    @classmethod
+    def of(cls, name: str, ok: bool, detail: str = "") -> Certificate:
+        return cls(name, "pass" if ok else "fail", detail)
+
+    def to_json_dict(self) -> dict:
+        return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
 @dataclass
@@ -103,36 +120,39 @@ def load_corpus() -> list[CorpusEntry]:
 
 def compare_with_expected(
     entry: CorpusEntry, closure: Closure, budget: int
-) -> list[tuple[str, bool, str]]:
+) -> list[Certificate]:
     """Check a band word's closure record against its corpus sidecar.
 
-    Jones is computed only when the sidecar holds a value, and is not
-    checked when `budget` refuses it.
+    One `corpus:<entry>:<field>` certificate per sidecar field. Jones is
+    computed only when the sidecar holds a value, and is `skipped` when
+    `budget` refuses it.
     """
     exp = entry.expected
     surface = closure.surface
     delta = closure.alexander
     want_delta = LaurentPolynomial.from_pairs(exp["alexander"])
-    checks = [
-        ("components", closure.permutation.cycle_count() == exp["components"], ""),
-        ("chi", surface.chi == exp["chi"], ""),
-        ("betti", surface.betti == exp["betti"], ""),
-        ("linking", [list(r) for r in closure.linking] == exp["linking"], ""),
-        ("alexander", delta.is_unit_equivalent(want_delta), delta.format()),
-        ("determinant", closure.determinant == exp["determinant"], ""),
+    certs = [
+        Certificate.of("components", closure.permutation.cycle_count() == exp["components"]),
+        Certificate.of("chi", surface.chi == exp["chi"]),
+        Certificate.of("betti", surface.betti == exp["betti"]),
+        Certificate.of("linking", [list(r) for r in closure.linking] == exp["linking"]),
+        Certificate.of("alexander", delta.is_unit_equivalent(want_delta), delta.format()),
+        Certificate.of("determinant", closure.determinant == exp["determinant"]),
     ]
     if exp.get("signature") is not None:
-        checks.append(("signature", closure.signature == exp["signature"], ""))
+        certs.append(Certificate.of("signature", closure.signature == exp["signature"]))
     if exp.get("component_alexander") is not None:
         want = [LaurentPolynomial.from_pairs(p) for p in exp["component_alexander"]]
         polys = [c.alexander for c in closure.component_records]
         ok = len(want) == len(polys) and all(
             a.is_unit_equivalent(b) for a, b in zip(polys, want)
         )
-        checks.append(("component-alexander", ok, ""))
+        certs.append(Certificate.of("component-alexander", ok))
     if exp.get("jones") is not None:
         jones = closure.jones(budget)
-        if not isinstance(jones, BudgetExceeded):
-            want_jones = LaurentPolynomial.from_pairs(exp["jones"])
-            checks.append(("jones", jones == want_jones, jones.format("t", 4)))
-    return checks
+        if isinstance(jones, BudgetExceeded):
+            certs.append(Certificate("jones", "skipped", f"strand budget {budget}"))
+        else:
+            ok = jones == LaurentPolynomial.from_pairs(exp["jones"])
+            certs.append(Certificate.of("jones", ok, jones.format("t", 4)))
+    return [replace(c, name=f"corpus:{entry.name}:{c.name}") for c in certs]

@@ -24,6 +24,7 @@ from functools import cache
 
 from .invariants import DEFAULT_JONES_BUDGET, BudgetExceeded, Closure
 from .laurent import LaurentPolynomial
+from .report import Certificate
 from .selection import BandSelection, _select, classify_and_select, persistent_selection
 from .words import BandWord
 
@@ -38,18 +39,6 @@ class OracleViolationError(AssertionError):
     def __init__(self, message: str, certificates: tuple[Certificate, ...] = ()):
         super().__init__(message)
         self.certificates = certificates
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """One checked splice contract, for report ledgers."""
-
-    name: str
-    status: str  # "pass" | "fail" | "paper-cited"
-    detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
 @dataclass(frozen=True)

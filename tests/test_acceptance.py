@@ -12,25 +12,25 @@ def _run(criterion):
     result = criterion()
     print()
     print(result.line())
-    for name, status, detail in result.checks:
-        if status != "pass":
-            print(f"  {name}: {status} {detail}")
-    failed = [c for c in result.checks if c[1] == "fail"]
+    for c in result.checks:
+        if c.status != "pass":
+            print(f"  {c.name}: {c.status} {c.detail}")
+    failed = [c for c in result.checks if c.status == "fail"]
     assert result.passed, f"criterion {result.number} failed: {failed}"
     return result
 
 
 def test_criterion_1_alpha_verification():
     result = _run(acceptance.criterion_1_alpha)
-    names = {c[0] for c in result.checks}
+    names = {c.name for c in result.checks}
     assert "component-0-alexander" in names and "component-1-determinant" in names
 
 
 def test_criterion_2_oracle_equivalence():
     result = _run(acceptance.criterion_2_oracles)
-    jones_checks = [c for c in result.checks if c[0].startswith("jones:")]
+    jones_checks = [c for c in result.checks if c.name.startswith("jones:")]
     assert jones_checks, "no corpus word exercised the Jones oracle pair"
-    random_checks = [c for c in result.checks if c[0].startswith("alexander:random-")]
+    random_checks = [c for c in result.checks if c.name.startswith("alexander:random-")]
     assert len(random_checks) == 20
 
 
@@ -40,14 +40,14 @@ def test_criterion_3_selection():
 
 def test_criterion_4_trivial_annulus_control():
     result = _run(acceptance.criterion_4_trivial_control)
-    jones = [c for c in result.checks if c[0].endswith(":jones")]
-    assert all(status == "pass" for _, status, _ in jones)
+    jones = [c for c in result.checks if c.name.endswith(":jones")]
+    assert all(c.status == "pass" for c in jones)
 
 
 def test_criterion_5_case1_family():
     result = _run(acceptance.criterion_5_case1_family)
-    degrees = [c for c in result.checks if c[0].endswith(":degree")]
-    assert [d[2] for d in degrees] == [
+    degrees = [c for c in result.checks if c.name.endswith(":degree")]
+    assert [d.detail for d in degrees] == [
         "degree 0",
         "degree 2",
         "degree 4",
@@ -57,14 +57,14 @@ def test_criterion_5_case1_family():
 
 def test_criterion_6_case2_family():
     result = _run(acceptance.criterion_6_case2_family)
-    statuses = {c[0]: c[1] for c in result.checks}
+    statuses = {c.name: c.status for c in result.checks}
     assert statuses["jones-witness-i1"] == "pass"
     assert statuses["pairwise-non-isotopy-i>=2"] == "paper-cited"
 
 
 def test_criterion_7_tie_oracle_ledger():
     result = _run(acceptance.criterion_7_tie_ledger)
-    seeds = [c for c in result.checks if c[0].startswith("seed-")]
+    seeds = [c for c in result.checks if c.name.startswith("seed-")]
     assert len(seeds) == 50
 
 
@@ -75,7 +75,7 @@ def test_criterion_8_tb_arithmetic():
 def test_budget_starved_suite_skips_jones_but_passes():
     """With a tiny strand budget the Jones steps degrade to 'skipped'."""
     result = acceptance.criterion_6_case2_family(budget=4)
-    statuses = {c[0]: c[1] for c in result.checks}
+    statuses = {c.name: c.status for c in result.checks}
     assert statuses["jones-witness-i1"] == "skipped"
     assert result.passed
 

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import sqpbands
-from sqpbands import Closure, SurfaceGraph, cli, parse_band_word
+from sqpbands import Closure, SurfaceGraph, acceptance, bundled_alpha, cli, parse_band_word
 from sqpbands.report import ReportEnvelope, compare_with_expected, load_corpus
 from sqpbands.surface import TracingBugError
 from sqpbands.svg import band_diagram_svg
@@ -46,8 +47,81 @@ def test_corpus_loads_and_replays():
     names = {entry.name for entry in corpus}
     assert {"alpha", "trefoil", "hopf"} <= names
     for entry in corpus:
-        for name, ok, detail in compare_with_expected(entry, Closure(entry.word), 8):
-            assert ok, f"{entry.name}:{name} {detail}"
+        for cert in compare_with_expected(entry, Closure(entry.word), 8):
+            assert cert.status == "pass", f"{cert.name} {cert.detail}"
+            assert cert.name.startswith(f"corpus:{entry.name}:")
+
+
+def test_corpus_jones_over_budget_is_skipped():
+    entry = next(e for e in load_corpus() if e.name == "trefoil")
+    certs = {c.name: c.status for c in compare_with_expected(entry, Closure(entry.word), 1)}
+    assert certs["corpus:trefoil:jones"] == "skipped"
+    assert certs["corpus:trefoil:alexander"] == "pass"
+
+
+def run_selftest(capsys, *args):
+    code = cli.main(["selftest", *args])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if "--json" in args else out
+
+
+def _checks(payload, number):
+    report = next(r for r in payload["reports"] if r["number"] == number)
+    return {c["name"]: c["status"] for c in report["checks"]}
+
+
+def test_cli_selftest_json_replays_the_corpus_in_c2(capsys):
+    code, payload = run_selftest(capsys, "--json")
+    assert code == 0
+    assert [r["number"] for r in payload["reports"]] == list(range(1, 9))
+    assert all(r["passed"] for r in payload["reports"])
+    c2 = _checks(payload, 2)
+    for entry in load_corpus():
+        names = [n for n in c2 if n.startswith(f"corpus:{entry.name}:")]
+        assert f"corpus:{entry.name}:alexander" in names
+        assert {c2[n] for n in names} == {"pass"}
+
+
+def test_cli_selftest_corrupted_sidecar_exits_2(monkeypatch, capsys):
+    def corrupted():
+        return [
+            replace(e, expected={**e.expected, "determinant": 4}) if e.name == "trefoil" else e
+            for e in load_corpus()
+        ]
+
+    monkeypatch.setattr(acceptance, "load_corpus", corrupted)
+    code, payload = run_selftest(capsys, "--json")
+    assert code == 2
+    c2 = _checks(payload, 2)
+    assert c2["corpus:trefoil:determinant"] == "fail"
+    assert c2["corpus:hopf:determinant"] == "pass"
+    # Text mode prints the failed certificate under its criterion's line.
+    code, out = run_selftest(capsys)
+    assert code == 2
+    lines = out.splitlines()
+    c2_line = next(i for i, line in enumerate(lines) if line.startswith("C2 "))
+    assert "FAIL" in lines[c2_line]
+    assert lines[c2_line + 1] == "  corpus:trefoil:determinant: fail"
+
+
+def test_cli_selftest_swapped_splice_template_exits_2(monkeypatch, capsys):
+    swapped = replace(bundled_alpha(), splice=(("a1", "q"), ("a2", "p")))
+    monkeypatch.setattr(acceptance, "bundled_alpha", lambda: swapped)
+    code, payload = run_selftest(capsys, "--json")
+    assert code == 2
+    c7 = next(r for r in payload["reports"] if r["number"] == 7)
+    assert not c7["passed"]
+    failed = [c for c in c7["checks"] if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == ["d:linking", "raised"]
+    assert "OracleViolationError" in failed[1]["detail"]
+
+
+def test_cli_selftest_text_prints_one_line_per_criterion(capsys):
+    code, out = run_selftest(capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 8
+    assert all(line.startswith(f"C{n} ") for n, line in enumerate(lines, start=1))
 
 
 def test_cli_validate_alpha():
