@@ -60,7 +60,7 @@ def _annulus_from_arg(kind: str) -> AnnulusWord:
     for key in ("word", "strands", "designated_band", "companion_alexander"):
         if key not in data:
             raise ValueError(f"{kind}: annulus file has no {key!r} field")
-    for key in ("strands", "designated_band", "expected_linking", "marked"):
+    for key in ("strands", "designated_band", "marked"):
         if type(data.get(key, 0)) is not int:
             raise ValueError(f"{kind}: annulus field {key!r} must be an integer")
     for key in ("word", "companion_name"):
@@ -81,7 +81,6 @@ def _annulus_from_arg(kind: str) -> AnnulusWord:
         designated_band=data["designated_band"],
         companion_name=data.get("companion_name", kind),
         companion_alexander=LaurentPolynomial.from_pairs(data["companion_alexander"]),
-        expected_linking=data.get("expected_linking", 1),
         splice=tuple(tuple(p) for p in data.get("splice", (("a2", "q"), ("a1", "p")))),
         marked=data.get("marked", 0),
     )

@@ -380,81 +380,66 @@ class BudgetExceeded:
 _DELTA = LaurentPolynomial({2: -1, -2: -1})  # -A^2 - A^-2
 
 
-def _apply_cap(matching: tuple[int, ...], a: int, b: int) -> tuple[tuple[int, ...], bool]:
+def _apply_cap(matching: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """Join top points a, b by a cap and re-pair them by a cup.
 
-    Returns the new matching and whether a closed loop was created.
+    A cap on points already paired with each other closes a loop and
+    leaves the matching as it is.
     """
     pa, pb = matching[a], matching[b]
     if pa == b:
-        return matching, True
+        return matching
     new = list(matching)
     new[pa], new[pb] = pb, pa
     new[a], new[b] = b, a
-    return tuple(new), False
-
-
-def _cap_tables(word: ArtinWord) -> tuple[dict[int, dict[int, int]], dict[int, int], int]:
-    """The memoized cap transitions of `word`'s transfer and its packing width.
-
-    Matchings of the 2n boundary points are numbered as they are first
-    reached, the identity being 0. tables[k][m] is the matching that a cap
-    on column k makes of matching m; one table per column serves every
-    letter of that column. A loop-closing cap leaves the matching as it
-    is, so its loop flag is `tables[k][m] == m`.
-
-    Returns the tables, the closure loop count of each matching reachable
-    after the last letter, and a width `bits` such that every coefficient
-    of every state, packed as in `_bracket_tl`, has magnitude below
-    2^(bits - 2). The bound sums each state's l1 path mass, doubling it on
-    a loop-closing cap (the weights have l1 norms 1, 1 and 2); the total
-    mass never decreases from letter to letter, so its final value, each
-    state's mass weighted by the 2^(loops - 1) of the closure, bounds
-    every coefficient ever formed.
-    """
-    n = word.strands
-    ident = tuple(range(n, 2 * n)) + tuple(range(n))
-    matchings = [ident]
-    index = {ident: 0}
-    tables: dict[int, dict[int, int]] = {}
-    mass = {0: 1}
-    for k, _ in word.letters:
-        table = tables.setdefault(k, {})
-        new = dict(mass)
-        for m, w in mass.items():
-            t = table.get(m)
-            if t is None:
-                target, _ = _apply_cap(matchings[m], n + k - 1, n + k)
-                t = table[m] = index.setdefault(target, len(matchings))
-                if t == len(matchings):
-                    matchings.append(target)
-            new[t] = new.get(t, 0) + (w << (t == m))
-        mass = new
-    loops = {m: _closure_loops(matchings[m], n) for m in mass}
-    bits = sum(w << (loops[m] - 1) for m, w in mass.items()).bit_length() + 2
-    return tables, loops, bits
+    return tuple(new)
 
 
 def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
     """Kauffman bracket of the closure via planar-matching transfer.
 
-    States are matchings, numbered by `_cap_tables`. Each state's
-    coefficient is a polynomial in B = A^2, Kronecker-packed into one
-    Python int at B = 2^bits; one A power is kept for all states.
+    States are matchings of the 2n boundary points, numbered as they are
+    first reached, the identity being 0. tables[k][m] is the matching that
+    a cap on column k makes of matching m, filled the first time m meets
+    a letter of column k; a loop-closing cap leaves the matching as it is,
+    so its loop flag is `tables[k][m] == m`. Closure loops are counted
+    only for the states left after the last letter.
+
+    Each state's coefficient is a polynomial in B = A^2, Kronecker-packed
+    into one Python int at B = 2^bits; one A power is kept for all states.
     Factoring A^-3 (e > 0) or A^-1 (e < 0) out of a letter's weights makes
     the straight, cap and loop-closing-cap weights B^2, B, -(B^2 + 1) or
     1, B, -(B^2 + 1), so a letter costs only shifts, adds and negations.
     After each letter the B-digits that are zero in every state are
     shifted out, which is exact. At the closure
     Delta^j = (-1)^j A^(-2j) (B^2 + 1)^j.
+
+    The width bits = letters + n + 1 is sufficient. Let the mass be the
+    sum of the l1 norms of all states' coefficients; it starts at 1. A cap
+    that closes no loop splits a state into two terms of its own norm. On
+    a loop-closing cap the straight and loop weights land on the same
+    state and combine to -1 (e > 0) or -B^2 (e < 0). So the mass at most
+    doubles per letter, and every coefficient formed on the way is at
+    most 2^letters in magnitude. A matching closes into at most n loops,
+    and the closure factor (B^2 + 1)^j, j = loops - 1, has norm at most
+    2^(n - 1). So the closed-up sum's coefficients are at most
+    2^(letters + n - 1) = 2^(bits - 2) in magnitude, inside the balanced
+    base-2^bits digits that `_unpack` decodes exactly. A bare cap E_k of
+    weight 1 has norm at most 2 too, so the bound would cover it as a
+    letter.
     """
-    tables, loops, bits = _cap_tables(word)
+    n = word.strands
+    bits = len(word.letters) + n + 1
     two = 2 * bits
+    ident = tuple(range(n, 2 * n)) + tuple(range(n))
+    matchings = [ident]
+    index = {ident: 0}
+    tables: dict[int, dict[int, int]] = {}
     states = {0: 1}
     a_exp = 0  # A power factored out of every state
     low = 0  # B-digits shifted out of every state
     for k, e in word.letters:
-        table = tables[k]
+        table = tables.setdefault(k, {})
         if e > 0:
             a_exp -= 3
             new = {m: v << two for m, v in states.items()}
@@ -462,7 +447,12 @@ def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
             a_exp -= 1
             new = dict(states)
         for m, v in states.items():
-            t = table[m]
+            t = table.get(m)
+            if t is None:
+                target = _apply_cap(matchings[m], n + k - 1, n + k)
+                t = table[m] = index.setdefault(target, len(matchings))
+                if t == len(matchings):
+                    matchings.append(target)
             new[t] = new.get(t, 0) + (-((v << two) + v) if t == m else v << bits)
         seen = 0
         for v in new.values():
@@ -474,7 +464,8 @@ def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
                 new[m] = v >> zeros * bits
         states = new
 
-    top = max(loops[m] for m in states) - 1
+    loops = {m: _closure_loops(matchings[m], n) for m in states}
+    top = max(loops.values()) - 1
     powers = [1]  # (B^2 + 1)^j, packed
     for _ in range(top):
         powers.append(powers[-1] * ((1 << two) + 1))
@@ -525,10 +516,10 @@ def jones_tl(
     strands than `budget`, however few its simplified diagram keeps; the
     planar-matching state space is Catalan(n).
     The transfer (`_bracket_tl`) runs on the record's simplified diagram
-    and keeps each state's coefficient as one Kronecker-packed int in A^2,
-    at a width proved sufficient by a first pass over the memoized cap
-    transitions, so the answer is exact. Given a Closure, it reads (and
-    fills) that record's simplified diagram.
+    in one pass and keeps each state's coefficient as one Kronecker-packed
+    int in A^2, at the width letters + strands + 1, which its docstring
+    proves sufficient, so the answer is exact. Given a Closure, it reads
+    (and fills) that record's simplified diagram.
     """
     closure = word if isinstance(word, Closure) else Closure(word)
     if closure.strands > budget:

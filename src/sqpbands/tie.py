@@ -60,7 +60,6 @@ class AnnulusWord:
     designated_band: int
     companion_name: str
     companion_alexander: LaurentPolynomial
-    expected_linking: int = 1
     splice: tuple[tuple[str, str], tuple[str, str]] = (("a2", "q"), ("a1", "p"))
     marked: int = 0  # 0-based index into the inserted splice letters
 
@@ -76,10 +75,8 @@ class AnnulusWord:
         if surface.count != 2:
             raise ValueError("annulus surface must have two boundary circles")
         lk = closure.linking
-        if lk[0][1] != self.expected_linking:
-            raise ValueError(
-                f"boundary circles link {lk[0][1]}, expected {self.expected_linking}"
-            )
+        if lk[0][1] != 1:
+            raise ValueError(f"boundary circles link {lk[0][1]}, expected 1")
         for comp, record in enumerate(closure.component_records):
             if not record.alexander.is_unit_equivalent(self.companion_alexander):
                 raise ValueError(

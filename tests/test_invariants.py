@@ -392,6 +392,17 @@ def test_jones_of_step_1_trefoil_family_word():
     })  # fmt: skip
 
 
+def test_jones_packing_width_counts_the_letters():
+    # Its coefficients outgrow a width of strands + 1 bits, which drops
+    # the letters term of `_bracket_tl`'s bound.
+    word = parse_artin_word("s1 S2 S1 S1 s2 s2 s1 S2 s1 S2", 3)
+    expected = LaurentPolynomial({
+        16: 1, 12: -3, 8: 5, 4: -5, 0: 8, -4: -5, -8: 5, -12: -3, -16: 1,
+    })  # fmt: skip
+    assert kauffman_bracket_bruteforce(word) == expected
+    assert jones_tl(word) == expected
+
+
 def test_jones_budget_refusal():
     result = jones_tl(ArtinWord(13, ()), budget=12)
     assert isinstance(result, BudgetExceeded)

@@ -245,6 +245,29 @@ def test_cli_family_trivial_control():
     assert statuses <= {"pass"}
 
 
+@pytest.mark.parametrize(
+    "budget, status, step_1_jones",
+    [(None, "pass", True), ("4", "paper-cited", False)],
+    ids=["default-budget", "budget-4"],
+)
+def test_cli_family_with_jones(budget, status, step_1_jones):
+    # Step 1 of the trefoil family has 10 strands: within the default
+    # budget, past a budget of 4.
+    extra = ["--budget", budget] if budget else []
+    r = run_cli(
+        "family", "b(1,2) b(1,2) b(1,2)", "--strands", "2", "--count", "1",
+        "--with-jones", "--json", *extra,
+    )
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    rows = {c["name"]: c["status"] for c in payload["certificates"]}
+    assert rows["non-isotopy-0-vs-1"] == status
+    step_0, step_1 = (step["report"] for step in payload["family"])
+    assert step_0["jones"] is not None and not step_0["jones_budget_exceeded"]
+    assert (step_1["jones"] is not None) == step_1_jones
+    assert step_1["jones_budget_exceeded"] == (not step_1_jones)
+
+
 def test_cli_family_rejects_unlink_with_explanation():
     r = run_cli("family", "b(1,2)", "--strands", "2", "--count", "1")
     assert r.returncode == 1
@@ -325,6 +348,9 @@ def _without(key):
         ({**_GOOD_ANNULUS, "splice": 3}, "splice"),
         ({**_GOOD_ANNULUS, "word": 7}, "word"),
         ({**_GOOD_ANNULUS, "companion_name": ["x"]}, "companion_name"),
+        # An unknotted annulus with two negative full twists: its boundary
+        # circles link twice, and the construction needs linking +1.
+        ({**_GOOD_ANNULUS, "word": "b(1,2) b(1,3) b(2,3)", "strands": 3}, "link 2, expected 1"),
     ],
     ids=[
         "list",
@@ -335,6 +361,7 @@ def _without(key):
         "non-list-splice",
         "non-string-word",
         "non-string-companion-name",
+        "linking-2",
     ],
 )
 def test_cli_family_malformed_annulus_file_exits_1(tmp_path, spec, field):
