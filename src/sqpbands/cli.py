@@ -16,12 +16,10 @@ import json
 import sys
 
 from . import __version__
-from .acceptance import run_suite
 from .invariants import DEFAULT_JONES_BUDGET, full_report
 from .report import ReportEnvelope
 from .selection import RelocationLostError, UnlinkInputError
 from .surface import TracingBugError, trace_boundary
-from .svg import band_diagram_svg
 from .tie import (
     AnnulusWord,
     OracleViolationError,
@@ -141,6 +139,8 @@ def cmd_invariants(args) -> int:
             word = parse_band_word(args.word, args.strands)
         env.reports.append(full_report(word, with_jones=args.with_jones, budget=args.budget))
         if args.svg:
+            from .svg import band_diagram_svg
+
             with open(args.svg, "w") as fh:
                 fh.write(band_diagram_svg(word))
     except (WordSyntaxError, OSError) as exc:
@@ -189,6 +189,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from .acceptance import run_suite
+
     env = ReportEnvelope("selftest", {"budget": args.budget})
     results = run_suite(budget=args.budget)
     env.reports = [r.to_json_dict() for r in results]
@@ -254,21 +256,13 @@ def _print_family(env: ReportEnvelope) -> None:
     print(f"certificates: {statuses}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sqpbands",
-        description="Band-generator braid words, their surfaces, and splice families",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a band word and check its surface data")
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("word", help="band word, e.g. 'b(1,2) b(1,3)' (may be empty: '')")
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("invariants", help="full invariant report of a closure")
+
+def _invariants_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("word")
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--artin", action="store_true", help="parse as s<k>/S<k> Artin word")
@@ -277,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_JONES_BUDGET)
     p.add_argument("--json", action="store_true")
     p.add_argument("--svg", metavar="PATH", help="write the band diagram as SVG")
-    p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("family", help="iterated splice family with certificates")
+
+def _family_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("word")
     p.add_argument("--strands", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
@@ -291,16 +285,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-jones", dest="with_jones", action="store_true", default=False)
     p.add_argument("--budget", type=int, default=DEFAULT_JONES_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
+
+def _selftest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_JONES_BUDGET)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_selftest)
+
+
+# subcommand -> (help line, function that adds its arguments, command)
+SUBCOMMANDS = {
+    "validate": (
+        "parse a band word and check its surface data", _validate_arguments, cmd_validate
+    ),
+    "invariants": ("full invariant report of a closure", _invariants_arguments, cmd_invariants),
+    "family": ("iterated splice family with certificates", _family_arguments, cmd_family),
+    "selftest": ("run the acceptance suite", _selftest_arguments, cmd_selftest),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with every subcommand's parser under it."""
+    parser = argparse.ArgumentParser(
+        prog="sqpbands",
+        description="Band-generator braid words, their surfaces, and splice families",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, command) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in SUBCOMMANDS:
+        # Only the named subcommand's parser, with the prog that
+        # `add_parser` would give it, so its help and errors read the same.
+        _, add_arguments, command = SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"sqpbands {argv[0]}")
+        add_arguments(parser)
+        args, unrecognized = parser.parse_known_args(argv[1:])
+        if not unrecognized:
+            return command(args)
+    # Everything else (no subcommand, --help, --version, a typo, and
+    # arguments the subcommand does not take) goes to the top-level parser,
+    # which reports it with its own usage line.
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from importlib import resources
 
 from . import __version__
 from .invariants import BudgetExceeded, Closure
@@ -60,7 +59,7 @@ class ReportEnvelope:
         self.timing_s = round(time.perf_counter() - self._started, 3)
         return self
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "schema_version": self.schema_version,
             "tool_version": self.tool_version,
@@ -72,7 +71,7 @@ class ReportEnvelope:
             "error": self.error,
             "timing_s": self.timing_s,
         }
-        return json.dumps(payload, indent=indent, sort_keys=False)
+        return json.dumps(payload, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> ReportEnvelope:
@@ -99,6 +98,8 @@ class CorpusEntry:
 
 
 def _corpus_dir():
+    from importlib import resources
+
     return resources.files("sqpbands").joinpath("data/corpus")
 
 

@@ -124,6 +124,174 @@ def test_cli_selftest_text_prints_one_line_per_criterion(capsys):
     assert all(line.startswith(f"C{n} ") for n, line in enumerate(lines, start=1))
 
 
+_TOP_USAGE = "usage: sqpbands [-h] [--version] {validate,invariants,family,selftest} ...\n"
+
+_INVARIANTS_USAGE = """\
+usage: sqpbands invariants [-h] --strands STRANDS [--artin] [--with-jones]
+                           [--no-jones] [--budget BUDGET] [--json]
+                           [--svg PATH]
+                           word
+"""
+
+_TOP_HELP = _TOP_USAGE + """
+Band-generator braid words, their surfaces, and splice families
+
+positional arguments:
+  {validate,invariants,family,selftest}
+    validate            parse a band word and check its surface data
+    invariants          full invariant report of a closure
+    family              iterated splice family with certificates
+    selftest            run the acceptance suite
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+_VALIDATE_HELP = """\
+usage: sqpbands validate [-h] --strands STRANDS [--json] word
+
+positional arguments:
+  word               band word, e.g. 'b(1,2) b(1,3)' (may be empty: '')
+
+options:
+  -h, --help         show this help message and exit
+  --strands STRANDS
+  --json
+"""
+
+_INVARIANTS_HELP = _INVARIANTS_USAGE + """
+positional arguments:
+  word
+
+options:
+  -h, --help         show this help message and exit
+  --strands STRANDS
+  --artin            parse as s<k>/S<k> Artin word
+  --with-jones
+  --no-jones
+  --budget BUDGET
+  --json
+  --svg PATH         write the band diagram as SVG
+"""
+
+_FAMILY_HELP = """\
+usage: sqpbands family [-h] --strands STRANDS --count COUNT
+                       [--annulus ANNULUS] [--with-jones] [--budget BUDGET]
+                       [--json]
+                       word
+
+positional arguments:
+  word
+
+options:
+  -h, --help         show this help message and exit
+  --strands STRANDS
+  --count COUNT
+  --annulus ANNULUS  'bundled' (slice companion), 'trivial' (unknot control),
+                     or a JSON file
+  --with-jones
+  --budget BUDGET
+  --json
+"""
+
+_SELFTEST_HELP = """\
+usage: sqpbands selftest [-h] [--budget BUDGET] [--json]
+
+options:
+  -h, --help       show this help message and exit
+  --budget BUDGET
+  --json
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        ([], 2, "", _TOP_USAGE + "sqpbands: error: the following arguments are required: command\n"),
+        (["-h"], 0, _TOP_HELP, ""),
+        (["--version"], 0, f"sqpbands {sqpbands.__version__}\n", ""),
+        (["validate", "-h"], 0, _VALIDATE_HELP, ""),
+        (["invariants", "-h"], 0, _INVARIANTS_HELP, ""),
+        (["family", "-h"], 0, _FAMILY_HELP, ""),
+        (["selftest", "-h"], 0, _SELFTEST_HELP, ""),
+        (
+            ["invariants"],
+            2,
+            "",
+            _INVARIANTS_USAGE
+            + "sqpbands invariants: error: the following arguments are required: word, --strands\n",
+        ),
+        (
+            ["invariants", "b(1,2)", "--strands", "x"],
+            2,
+            "",
+            _INVARIANTS_USAGE
+            + "sqpbands invariants: error: argument --strands: invalid int value: 'x'\n",
+        ),
+        # Arguments that no parser takes are reported by the top-level parser.
+        (
+            ["invariants", "b(1,2)", "--strands", "2", "--bogus"],
+            2,
+            "",
+            _TOP_USAGE + "sqpbands: error: unrecognized arguments: --bogus\n",
+        ),
+        (
+            ["--json", "invariants", "b(1,2)", "--strands", "2"],
+            2,
+            "",
+            _TOP_USAGE + "sqpbands: error: unrecognized arguments: --json\n",
+        ),
+    ],
+    ids=[
+        "no-arguments",
+        "help",
+        "version",
+        "validate-help",
+        "invariants-help",
+        "family-help",
+        "selftest-help",
+        "invariants-without-word",
+        "non-integer-strands",
+        "unrecognized-option-after-word",
+        "json-before-subcommand",
+    ],
+)
+def test_cli_parsing_exits(monkeypatch, capsys, argv, code, out, err):
+    # argparse wraps help and usage at the terminal width, read from COLUMNS.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_cli_unknown_subcommand_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bogus"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    # Newer Python releases print the choices without quotes.
+    names = ["validate", "invariants", "family", "selftest"]
+    assert err in {
+        _TOP_USAGE + "sqpbands: error: argument command: invalid choice: 'bogus' "
+        f"(choose from {', '.join(choices)})\n"
+        for choices in (map(repr, names), names)
+    }
+
+
+def test_cli_import_leaves_selftest_and_svg_unloaded():
+    code = (
+        "import sys, sqpbands.cli; "
+        "print(sorted({'sqpbands.acceptance', 'sqpbands.svg'} & set(sys.modules)))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
 def test_cli_validate_alpha():
     r = run_cli(
         "validate",
