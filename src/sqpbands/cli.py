@@ -6,7 +6,16 @@ Subcommands:
   family      iterated splice family with its certificate ledger
   selftest    acceptance suite with its corpus replay, one line per criterion
 
-Exit codes: 0 pass, 1 input error, 2 assertion failure, 3 oracle violation.
+Each command only fills its `ReportEnvelope` and returns its exit code.
+`main` owns the rest: an oracle error (`ORACLE_ERRORS`) exits 3, an input
+error (`INPUT_ERRORS`, which covers `WordSyntaxError`, `UnlinkInputError`
+and `SelectionInvalidError`) exits 1, and any other exception propagates.
+An error envelope holds `error` and the exception's certificates, never a
+partial payload. `main` prints once: the JSON envelope, an `error:` line on
+stderr, or the subcommand's text.
+
+Exit codes: 0 pass, 1 input error, 2 assertion failure or usage error,
+3 oracle violation.
 """
 
 from __future__ import annotations
@@ -17,25 +26,27 @@ import sys
 
 from . import __version__
 from .invariants import DEFAULT_JONES_BUDGET, full_report
-from .report import ReportEnvelope
-from .selection import RelocationLostError, UnlinkInputError
+from .report import Certificate, ReportEnvelope
+from .selection import RelocationLostError
 from .surface import TracingBugError, trace_boundary
 from .tie import (
     AnnulusWord,
     OracleViolationError,
-    SelectionInvalidError,
     bundled_alpha,
     family,
     family_ledger,
     trivial_annulus,
 )
-from .words import WordSyntaxError, parse_artin_word, parse_band_word
+from .words import parse_artin_word, parse_band_word
 from .laurent import LaurentPolynomial
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_ASSERTION = 2
 EXIT_ORACLE = 3
+
+ORACLE_ERRORS = (OracleViolationError, TracingBugError, RelocationLostError)
+INPUT_ERRORS = (OSError, ValueError)
 
 
 def _is_pairs(value: object, kind: type) -> bool:
@@ -84,28 +95,21 @@ def _annulus_from_arg(kind: str) -> AnnulusWord:
     )
 
 
-def cmd_validate(args) -> int:
-    env = ReportEnvelope("validate", {"word": args.word, "strands": args.strands})
-    try:
-        word = parse_band_word(args.word, args.strands)
-        trace = trace_boundary(word)  # runs the permutation cross-check
-        env.reports.append(
-            {
-                "word": word.to_text(),
-                "strands": word.strands,
-                "letters": len(word.letters),
-                "boundary_components": trace.count,
-                "betti": trace.betti,
-                "genus_profile": [list(g) for g in trace.genus_profile],
-                "surface_graph": trace.graph.to_json_dict(),
-                "boundary_trace": trace.to_json_dict(),
-            }
-        )
-    except WordSyntaxError as exc:
-        return _emit_error(env, args, str(exc), EXIT_INPUT)
-    except TracingBugError as exc:
-        return _emit_error(env, args, str(exc), EXIT_ORACLE)
-    _emit(env.finish(), args, _print_validate)
+def cmd_validate(args, env: ReportEnvelope) -> int:
+    word = parse_band_word(args.word, args.strands)
+    trace = trace_boundary(word)  # runs the permutation cross-check
+    env.reports.append(
+        {
+            "word": word.to_text(),
+            "strands": word.strands,
+            "letters": len(word.letters),
+            "boundary_components": trace.count,
+            "betti": trace.betti,
+            "genus_profile": [list(g) for g in trace.genus_profile],
+            "surface_graph": trace.graph.to_json_dict(),
+            "boundary_trace": trace.to_json_dict(),
+        }
+    )
     return EXIT_OK
 
 
@@ -119,108 +123,39 @@ def _print_validate(env: ReportEnvelope) -> None:
         print(f"band_sides: {r['boundary_trace']['band_sides']}")
 
 
-def cmd_invariants(args) -> int:
-    env = ReportEnvelope(
-        "invariants",
-        {
-            "word": args.word,
-            "strands": args.strands,
-            "artin": args.artin,
-            "with_jones": args.with_jones,
-            "budget": args.budget,
-        },
-    )
+def cmd_invariants(args, env: ReportEnvelope) -> int:
     if args.artin and args.svg:
-        return _emit_error(env, args, "--svg draws band diagrams; give a band word", EXIT_INPUT)
-    try:
-        if args.artin:
-            word = parse_artin_word(args.word, args.strands)
-        else:
-            word = parse_band_word(args.word, args.strands)
-        env.reports.append(full_report(word, with_jones=args.with_jones, budget=args.budget))
-        if args.svg:
-            from .svg import band_diagram_svg
+        raise ValueError("--svg draws band diagrams; give a band word")
+    parse = parse_artin_word if args.artin else parse_band_word
+    word = parse(args.word, args.strands)
+    env.reports.append(full_report(word, with_jones=args.with_jones, budget=args.budget))
+    if args.svg:
+        from .svg import band_diagram_svg
 
-            with open(args.svg, "w") as fh:
-                fh.write(band_diagram_svg(word))
-    except (WordSyntaxError, OSError) as exc:
-        return _emit_error(env, args, str(exc), EXIT_INPUT)
-    except TracingBugError as exc:
-        return _emit_error(env, args, str(exc), EXIT_ORACLE)
-    _emit(env.finish(), args, _print_invariants)
+        with open(args.svg, "w") as fh:
+            fh.write(band_diagram_svg(word))
     return EXIT_OK
 
 
-def cmd_family(args) -> int:
-    env = ReportEnvelope(
-        "family",
-        {
-            "word": args.word,
-            "strands": args.strands,
-            "count": args.count,
-            "annulus": args.annulus,
-            "budget": args.budget,
-        },
-    )
-    try:
-        word = parse_band_word(args.word, args.strands)
-        annulus = _annulus_from_arg(args.annulus)
-        steps = family(word, args.count, annulus=annulus)
-    except (WordSyntaxError, UnlinkInputError, SelectionInvalidError, OSError, ValueError) as exc:
-        return _emit_error(env, args, str(exc), EXIT_INPUT)
-    except (OracleViolationError, TracingBugError, RelocationLostError) as exc:
-        env.certificates = [c.to_json_dict() for c in getattr(exc, "certificates", ())]
-        return _emit_error(env, args, str(exc), EXIT_ORACLE)
-    try:
-        entries = []
-        for step in steps:
-            entry = step.to_json_dict()
-            entry["report"] = full_report(
-                step.closure, with_jones=args.with_jones, budget=args.budget
-            )
-            entries.append(entry)
-        ledger = family_ledger(steps, annulus, args.with_jones, args.budget)
-    except TracingBugError as exc:
-        return _emit_error(env, args, str(exc), EXIT_ORACLE)
-    env.family = entries
+def cmd_family(args, env: ReportEnvelope) -> int:
+    word = parse_band_word(args.word, args.strands)
+    annulus = _annulus_from_arg(args.annulus)
+    steps = family(word, args.count, annulus=annulus)
+    for step in steps:
+        entry = step.to_json_dict()
+        entry["report"] = full_report(step.closure, with_jones=args.with_jones, budget=args.budget)
+        env.family.append(entry)
+    ledger = family_ledger(steps, annulus, args.with_jones, args.budget)
     env.certificates = [{"step": s, **c.to_json_dict()} for s, c in ledger]
-    _emit(env.finish(), args, _print_family)
     return EXIT_OK
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args, env: ReportEnvelope) -> int:
     from .acceptance import run_suite
 
-    env = ReportEnvelope("selftest", {"budget": args.budget})
     results = run_suite(budget=args.budget)
     env.reports = [r.to_json_dict() for r in results]
-    env.finish()
-    if args.json:
-        print(env.to_json())
-    else:
-        for r in results:
-            print(r.line())
-            for c in r.checks:
-                if c.status == "fail":
-                    print(f"  {c.name}: fail {c.detail}".rstrip())
     return EXIT_OK if all(r.passed for r in results) else EXIT_ASSERTION
-
-
-def _emit_error(env: ReportEnvelope, args, message: str, code: int) -> int:
-    env.error = {"message": message, "exit_code": code}
-    env.finish()
-    if getattr(args, "json", False):
-        print(env.to_json())
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _emit(env: ReportEnvelope, args, printer) -> None:
-    if getattr(args, "json", False):
-        print(env.to_json())
-    else:
-        printer(env)
 
 
 def _print_invariants(env: ReportEnvelope) -> None:
@@ -254,6 +189,17 @@ def _print_family(env: ReportEnvelope) -> None:
     for cert in env.certificates:
         statuses[cert["status"]] = statuses.get(cert["status"], 0) + 1
     print(f"certificates: {statuses}")
+
+
+def _print_selftest(env: ReportEnvelope) -> None:
+    from .acceptance import CriterionResult
+
+    for r in env.reports:
+        checks = [Certificate(**c) for c in r["checks"]]
+        print(CriterionResult(r["number"], r["name"], r["budget_s"], r["elapsed_s"], checks).line())
+        for c in checks:
+            if c.status == "fail":
+                print(f"  {c.name}: fail {c.detail}".rstrip())
 
 
 def _validate_arguments(p: argparse.ArgumentParser) -> None:
@@ -292,14 +238,26 @@ def _selftest_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true")
 
 
-# subcommand -> (help line, function that adds its arguments, command)
+# subcommand -> (help line, function that adds its arguments, command,
+# text printer, the arguments the envelope echoes as `inputs`)
 SUBCOMMANDS = {
     "validate": (
-        "parse a band word and check its surface data", _validate_arguments, cmd_validate
+        "parse a band word and check its surface data",
+        _validate_arguments, cmd_validate, _print_validate, ("word", "strands"),
     ),
-    "invariants": ("full invariant report of a closure", _invariants_arguments, cmd_invariants),
-    "family": ("iterated splice family with certificates", _family_arguments, cmd_family),
-    "selftest": ("run the acceptance suite", _selftest_arguments, cmd_selftest),
+    "invariants": (
+        "full invariant report of a closure",
+        _invariants_arguments, cmd_invariants, _print_invariants,
+        ("word", "strands", "artin", "with_jones", "budget"),
+    ),
+    "family": (
+        "iterated splice family with certificates",
+        _family_arguments, cmd_family, _print_family,
+        ("word", "strands", "count", "annulus", "budget"),
+    ),
+    "selftest": (
+        "run the acceptance suite", _selftest_arguments, cmd_selftest, _print_selftest, ("budget",)
+    ),
 }
 
 
@@ -311,29 +269,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, command) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        add_arguments(p)
-        p.set_defaults(func=command)
+    for name, (help_line, add_arguments, *_) in SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in SUBCOMMANDS:
+    name = argv[0] if argv else ""
+    unrecognized = True
+    if name in SUBCOMMANDS:
         # Only the named subcommand's parser, with the prog that
         # `add_parser` would give it, so its help and errors read the same.
-        _, add_arguments, command = SUBCOMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"sqpbands {argv[0]}")
-        add_arguments(parser)
+        parser = argparse.ArgumentParser(prog=f"sqpbands {name}")
+        SUBCOMMANDS[name][1](parser)
         args, unrecognized = parser.parse_known_args(argv[1:])
-        if not unrecognized:
-            return command(args)
-    # Everything else (no subcommand, --help, --version, a typo, and
-    # arguments the subcommand does not take) goes to the top-level parser,
-    # which reports it with its own usage line.
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    if unrecognized:
+        # Everything else (no subcommand, --help, --version, a typo, and
+        # arguments the subcommand does not take) goes to the top-level
+        # parser, which reports it with its own usage line.
+        args = build_parser().parse_args(argv)
+        name = args.command
+    _, _, command, printer, inputs = SUBCOMMANDS[name]
+    env = ReportEnvelope(name, {key: getattr(args, key) for key in inputs})
+    try:
+        code = command(args, env)
+    except ORACLE_ERRORS + INPUT_ERRORS as exc:
+        code = EXIT_INPUT if isinstance(exc, INPUT_ERRORS) else EXIT_ORACLE
+        env.reports, env.family = [], []
+        env.certificates = [c.to_json_dict() for c in getattr(exc, "certificates", ())]
+        env.error = {"message": str(exc), "exit_code": code}
+    env.finish()
+    if args.json:
+        print(env.to_json())
+    elif env.error:
+        print(f"error: {env.error['message']}", file=sys.stderr)
+    else:
+        printer(env)
+    return code
 
 
 if __name__ == "__main__":

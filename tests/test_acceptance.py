@@ -53,6 +53,8 @@ def test_criterion_5_case1_family():
         "degree 4",
         "degree 6",
     ]
+    # The status is the family ledger's pairwise-non-isotopy row.
+    assert {c.name: c.status for c in result.checks}["pairwise-non-isotopic"] == "pass"
 
 
 def test_criterion_6_case2_family():

@@ -7,15 +7,21 @@ import pytest
 
 import sqpbands
 from sqpbands import Closure, SurfaceGraph, acceptance, bundled_alpha, cli, parse_band_word
-from sqpbands.report import ReportEnvelope, compare_with_expected, load_corpus
+from sqpbands.report import Certificate, ReportEnvelope, compare_with_expected, load_corpus
+from sqpbands.selection import RelocationLostError, UnlinkInputError
 from sqpbands.surface import TracingBugError
 from sqpbands.svg import band_diagram_svg
-from sqpbands.words import BandWord
+from sqpbands.tie import OracleViolationError
+from sqpbands.words import BandWord, WordSyntaxError
+
+# The running interpreter's -O and -W flags, so a `python -O -W error` test
+# run also runs its CLI subprocesses that way.
+PYTHON = [sys.executable, *["-O"] * sys.flags.optimize, *(f"-W{w}" for w in sys.warnoptions)]
 
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "sqpbands.cli", *args],
+        [*PYTHON, "-m", "sqpbands.cli", *args],
         capture_output=True,
         text=True,
     )
@@ -287,7 +293,7 @@ def test_cli_import_leaves_selftest_and_svg_unloaded():
         "import sys, sqpbands.cli; "
         "print(sorted({'sqpbands.acceptance', 'sqpbands.svg'} & set(sys.modules)))"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([*PYTHON, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == "[]\n"
 
@@ -389,6 +395,7 @@ def test_cli_invariants_unwritable_svg_exits_1(tmp_path):
     payload = json.loads(r.stdout)
     assert payload["error"]["exit_code"] == 1
     assert "missing-dir" in payload["error"]["message"]
+    assert payload["reports"] == []
 
 
 def test_cli_family_trivial_control():
@@ -595,6 +602,46 @@ def test_cli_family_surface_without_a_band_exits_3(monkeypatch, capsys):
     assert code == 3
     assert payload["error"]["exit_code"] == 3
     assert "neither a Case1 nor a Case2" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "invariants", "family"])
+@pytest.mark.parametrize(
+    "kind, code",
+    [
+        (WordSyntaxError, 1),
+        (UnlinkInputError, 1),
+        (OSError, 1),
+        (ValueError, 1),
+        (TracingBugError, 3),
+        (RelocationLostError, 3),
+        (OracleViolationError, 3),
+        (KeyError, None),
+    ],
+)
+def test_cli_error_table(monkeypatch, capsys, command, kind, code):
+    if kind is OracleViolationError:
+        error = kind("forced", (Certificate("forced", "fail", "raised by the test"),))
+    else:
+        error = kind("forced")
+
+    def first_library_call(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "parse_band_word", first_library_call)
+    argv = [command, "b(1,2) b(1,2) b(1,2)", "--strands", "2", "--json"]
+    argv += ["--count", "1"] if command == "family" else []
+    if code is None:
+        # Not an input or oracle error: a bug, reported with its traceback.
+        with pytest.raises(KeyError):
+            cli.main(argv)
+        assert capsys.readouterr().out == ""
+        return
+    assert cli.main(argv) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"message": "forced", "exit_code": code}
+    certificates = getattr(error, "certificates", ())
+    assert payload["certificates"] == [c.to_json_dict() for c in certificates]
+    assert payload["reports"] == [] and payload["family"] == []
 
 
 def test_svg_contains_all_bands():
