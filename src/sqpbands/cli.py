@@ -15,13 +15,16 @@ partial payload. `main` prints once: the JSON envelope, an `error:` line on
 stderr, or the subcommand's text.
 
 Exit codes: 0 pass, 1 input error, 2 assertion failure or usage error,
-3 oracle violation.
+3 oracle violation, 141 stdout closed by its reader before the output was
+written (128 + SIGPIPE, as a shell reports a process that SIGPIPE ended;
+nothing is printed on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -44,6 +47,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_ASSERTION = 2
 EXIT_ORACLE = 3
+EXIT_PIPE = 141
 
 ORACLE_ERRORS = (OracleViolationError, TracingBugError, RelocationLostError)
 INPUT_ERRORS = (OSError, ValueError)
@@ -300,12 +304,19 @@ def main(argv: list[str] | None = None) -> int:
         env.certificates = [c.to_json_dict() for c in getattr(exc, "certificates", ())]
         env.error = {"message": str(exc), "exit_code": code}
     env.finish()
-    if args.json:
-        print(env.to_json())
-    elif env.error:
-        print(f"error: {env.error['message']}", file=sys.stderr)
-    else:
-        printer(env)
+    try:
+        if args.json:
+            print(env.to_json())
+        elif env.error:
+            print(f"error: {env.error['message']}", file=sys.stderr)
+        else:
+            printer(env)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (`sqpbands selftest | head -n 1`). With
+        # stdout on os.devnull, the flush at exit has nothing left to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     return code
 
 

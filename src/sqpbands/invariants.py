@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import mul
 
 from .laurent import LaurentPolynomial, _Elimination, _unpack, laurent_det, sparse_laurent_det
 from .surface import BoundaryTrace, trace_boundary
@@ -395,41 +397,145 @@ def _apply_cap(matching: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(new)
 
 
+def _close_strand(
+    states: dict[int, int], matchings: list[tuple[int, ...]], b: int, n: int, bits: int
+) -> tuple[dict[int, int], list[tuple[int, ...]], dict[tuple[int, ...], int]]:
+    """Close the strand whose bottom point is b in every state.
+
+    The closing arc joins bottom point b to top point b + n. Where the two
+    are paired with each other it closes a loop, weighted
+    delta = A^-2 (-(B^2 + 1)); elsewhere it pairs their partners, weighted
+    1 = A^-2 B. The caller keeps the A^-2. Both points are then marked
+    closed (-1), and states that become the same matching are summed. The
+    states left are numbered afresh: the new list and index of matchings
+    are returned with them, and the old ones can be dropped.
+    """
+    t = b + n
+    closed: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    new: dict[int, int] = {}
+    for m, v in states.items():
+        matching = list(matchings[m])
+        p, q = matching[b], matching[t]
+        if p == t:
+            v = -((v << 2 * bits) + v)
+        else:
+            matching[p], matching[q] = q, p
+            v <<= bits
+        matching[b] = matching[t] = -1
+        target = tuple(matching)
+        i = index.setdefault(target, len(closed))
+        if i == len(closed):
+            closed.append(target)
+        new[i] = new.get(i, 0) + v
+    return new, closed, index
+
+
+def _cheapest_rotation(word: ArtinWord) -> tuple[tuple[int, int], ...]:
+    """The cyclic rotation of the letters whose transfer costs least.
+
+    `_bracket_tl` closes an outer strand once its column has no later
+    letter, so a letter costs about Catalan(strands live at it) state
+    updates, and a rotation the sum of that over its letters. Let
+    e_1 <= .. <= e_(n-1) be the positions after which the n - 1 closures
+    run. Left strand l waits for the last letter of columns 1 .. l, and
+    right strand n + 1 - r for that of columns n - r .. n - 1; the n - 1
+    earliest of these 2(n - 1) times are the closures, and the last of
+    them is the last letter, since a left l and a right r with
+    l + r = n - 1 wait for every column. With e_0 = -1 the cost is
+    sum_j Catalan(n - j) (e_(j+1) - e_j)
+      = sum_(j=1..n-2) (Catalan(n - j + 1) - Catalan(n - j)) e_j
+    plus terms that no rotation changes.
+
+    The search reads the times as positions in the word written twice.
+    From rotation r to r + 1 only the times that wait for letter r's
+    column move, all to position r + letters, so both lists stay sorted
+    and their merge costs O(strands): the whole search is
+    O(letters * strands). A column with no letter keeps the time -1 in
+    every rotation, and the slope term puts the others back at positions
+    relative to r. The first rotation of least cost wins, so a word that
+    no rotation improves keeps its order.
+
+    The search is bounded to words of six or more strands. Below that a
+    letter updates at most Catalan(5) = 42 states, and on the benchmark's
+    diagrams of up to five strands the search cost about what it saved.
+    """
+    n, letters = word.strands, word.letters
+    m = len(letters)
+    if n < 6 or m < 2:
+        return letters
+    catalan = [math.comb(2 * s, s) // (s + 1) for s in range(n, 1, -1)]
+    weights = [a - b for a, b in zip(catalan, catalan[1:])]
+    last = [-1] * n
+    for pos, (k, _) in enumerate(letters):
+        last[k] = pos
+    # The left times (columns 1 .. l), then the right ones (n - 1 .. n - r).
+    times = list(accumulate(last[1:], max)) + list(accumulate(last[:0:-1], max))
+    slope = catalan[times.count(-1)] - catalan[-1]
+    best, start = math.inf, 0
+    for r, (k, _) in enumerate(letters):
+        cost = sum(map(mul, weights, sorted(times))) - r * slope
+        if cost < best:
+            best, start = cost, r
+        times[k - 1 : n - 1] = [r + m] * (n - k)
+        times[2 * n - 2 - k :] = [r + m] * k
+    return letters[start:] + letters[:start]
+
+
 def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
     """Kauffman bracket of the closure via planar-matching transfer.
 
-    States are matchings of the 2n boundary points, numbered as they are
-    first reached, the identity being 0. tables[k][m] is the matching that
-    a cap on column k makes of matching m, filled the first time m meets
-    a letter of column k; a loop-closing cap leaves the matching as it is,
-    so its loop flag is `tables[k][m] == m`. Closure loops are counted
-    only for the states left after the last letter.
+    States are matchings of the boundary points of the live strands,
+    bottom points 0 .. n - 1 and top points n .. 2n - 1, with the points of
+    closed strands marked -1. They are numbered as they are first reached,
+    the identity being 0. tables[k][m] is the matching that a cap on
+    column k makes of matching m, filled the first time m meets a letter
+    of column k; a loop-closing cap leaves the matching as it is, so its
+    loop flag is `tables[k][m] == m`.
+
+    An outer strand (the first or last live one) closes as soon as no
+    later letter touches its column: `_close_strand` joins its bottom and
+    top points in every state, weighting a state whose join closes a loop
+    by delta = -A^2 - A^-2 and any other by 1, and sums the states that
+    become the same matching. The transfer goes on with one strand fewer,
+    in fresh matching tables. This is the Markov partial trace,
+    tr_n(x y) = tr_(n-1)(E(x) y) for y in TL_(n-1): the strand's closing
+    arc slides past the letters that do not touch it. A bare cap E_k
+    would touch column k as s_k does and keep it live. Strands close down
+    to one, whose single state's coefficient is the bracket. As the
+    bracket of a closure does not change under conjugation, the transfer
+    runs on the rotation of the word that `_cheapest_rotation` picks.
 
     Each state's coefficient is a polynomial in B = A^2, Kronecker-packed
     into one Python int at B = 2^bits; one A power is kept for all states.
     Factoring A^-3 (e > 0) or A^-1 (e < 0) out of a letter's weights makes
     the straight, cap and loop-closing-cap weights B^2, B, -(B^2 + 1) or
-    1, B, -(B^2 + 1), so a letter costs only shifts, adds and negations.
-    After each letter the B-digits that are zero in every state are
-    shifted out, which is exact. At the closure
-    Delta^j = (-1)^j A^(-2j) (B^2 + 1)^j.
+    1, B, -(B^2 + 1), and factoring A^-2 out of a closure's makes them B
+    (no loop) and -(B^2 + 1) (loop), so a step costs only shifts, adds
+    and negations. After each letter the B-digits that are zero in every
+    state are shifted out, which is exact.
 
     The width bits = letters + n + 1 is sufficient. Let the mass be the
     sum of the l1 norms of all states' coefficients; it starts at 1. A cap
     that closes no loop splits a state into two terms of its own norm. On
     a loop-closing cap the straight and loop weights land on the same
-    state and combine to -1 (e > 0) or -B^2 (e < 0). So the mass at most
-    doubles per letter, and every coefficient formed on the way is at
-    most 2^letters in magnitude. A matching closes into at most n loops,
-    and the closure factor (B^2 + 1)^j, j = loops - 1, has norm at most
-    2^(n - 1). So the closed-up sum's coefficients are at most
-    2^(letters + n - 1) = 2^(bits - 2) in magnitude, inside the balanced
-    base-2^bits digits that `_unpack` decodes exactly. A bare cap E_k of
-    weight 1 has norm at most 2 too, so the bound would cover it as a
-    letter.
+    state and combine to -1 (e > 0) or -B^2 (e < 0). A closure multiplies
+    a state's norm by 1, or by 2 where it closes a loop, and summing
+    states never adds norm. So the mass at most doubles per letter and per
+    closure, and there are n - 1 closures, the only loop factors besides
+    the caps'. Every coefficient formed on the way, the bracket's too, is
+    therefore at most 2^(letters + n - 1) = 2^(bits - 2) in magnitude,
+    inside the balanced base-2^bits digits that `_unpack` decodes exactly
+    and whose zero digits the shift-out finds. A bare cap E_k of weight 1
+    has norm at most 2 too, so the bound would cover it as a letter.
     """
     n = word.strands
-    bits = len(word.letters) + n + 1
+    letters = _cheapest_rotation(word)
+    last = [-1] * n  # last[k]: position of column k's last letter, -1 if none
+    for pos, (k, _) in enumerate(letters):
+        last[k] = pos
+    lo, hi = 1, n - 1  # the live columns; strands lo .. hi + 1 are live
+    bits = len(letters) + n + 1
     two = 2 * bits
     ident = tuple(range(n, 2 * n)) + tuple(range(n))
     matchings = [ident]
@@ -438,7 +544,19 @@ def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
     states = {0: 1}
     a_exp = 0  # A power factored out of every state
     low = 0  # B-digits shifted out of every state
-    for k, e in word.letters:
+    for pos in range(len(letters) + 1):
+        # Close each outer strand whose column has no letter from here on.
+        while lo <= hi and min(last[lo], last[hi]) < pos:
+            if last[lo] < pos:  # strand lo, bottom point lo - 1
+                b, lo = lo - 1, lo + 1
+            else:  # strand hi + 1, bottom point hi
+                b, hi = hi, hi - 1
+            a_exp -= 2
+            tables = {}
+            states, matchings, index = _close_strand(states, matchings, b, n, bits)
+        if pos == len(letters):
+            break
+        k, e = letters[pos]
         table = tables.setdefault(k, {})
         if e > 0:
             a_exp -= 3
@@ -463,37 +581,10 @@ def _bracket_tl(word: ArtinWord) -> LaurentPolynomial:
             for m, v in new.items():
                 new[m] = v >> zeros * bits
         states = new
-
-    loops = {m: _closure_loops(matchings[m], n) for m in states}
-    top = max(loops.values()) - 1
-    powers = [1]  # (B^2 + 1)^j, packed
-    for _ in range(top):
-        powers.append(powers[-1] * ((1 << two) + 1))
-    total = 0
-    for m, v in states.items():
-        j = loops[m] - 1
-        term = v * powers[j] << (top - j) * bits
-        total += -term if j & 1 else term
-    a_exp -= 2 * top
+    (total,) = states.values()
     return LaurentPolynomial(
         {a_exp + 2 * (low + d): c for d, c in _unpack(total, bits).coeffs.items()}
     )
-
-
-def _closure_loops(matching: tuple[int, ...], n: int) -> int:
-    seen = [False] * (2 * n)
-    loops = 0
-    for start in range(2 * n):
-        if seen[start]:
-            continue
-        loops += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = matching[x]
-            seen[y] = True
-            x = y + n if y < n else y - n  # closure arc bottom<->top
-    return loops
 
 
 def _jones_from_bracket(bracket: LaurentPolynomial, writhe: int) -> LaurentPolynomial:
@@ -516,10 +607,15 @@ def jones_tl(
     strands than `budget`, however few its simplified diagram keeps; the
     planar-matching state space is Catalan(n).
     The transfer (`_bracket_tl`) runs on the record's simplified diagram
-    in one pass and keeps each state's coefficient as one Kronecker-packed
-    int in A^2, at the width letters + strands + 1, which its docstring
-    proves sufficient, so the answer is exact. Given a Closure, it reads
-    (and fills) that record's simplified diagram.
+    in one pass. It closes each outer strand as soon as no later letter
+    touches its column, by the partial trace
+    tr_n(x y) = tr_(n-1)(E(x) y) for y in TL_(n-1), and it runs on the
+    cyclic rotation of the word that minimises the sum over its letters
+    of Catalan(live strands), which conjugation allows. Each state's
+    coefficient is one Kronecker-packed int in A^2, at the width
+    letters + strands + 1: the states' l1 mass at most doubles per letter
+    and per closure, with strands - 1 closures, so the answer is exact.
+    Given a Closure, it reads (and fills) that record's simplified diagram.
     """
     closure = word if isinstance(word, Closure) else Closure(word)
     if closure.strands > budget:

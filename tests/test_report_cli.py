@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -654,3 +655,29 @@ def test_svg_contains_all_bands():
 def test_svg_deterministic():
     word = BandWord(3, ((1, 3), (2, 3)))
     assert band_diagram_svg(word) == band_diagram_svg(word)
+
+
+def test_cli_exits_quietly_when_its_reader_closes_stdout():
+    # `sqpbands selftest --json | head -n 1`, made deterministic: the pipe is
+    # shrunk to one page, so the 30 KB envelope is still being written when
+    # the reader closes its end after the first line.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set on this platform")
+    read_end, write_end = os.pipe()
+    if fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096) > 8192:
+        os.close(read_end)
+        os.close(write_end)
+        pytest.skip("the pipe cannot be made smaller than the envelope")
+    proc = subprocess.Popen(
+        [*PYTHON, "-m", "sqpbands.cli", "selftest", "--json"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb", buffering=0) as reader:
+        first = reader.readline()
+    _, stderr = proc.communicate(timeout=120)
+    assert first == b"{\n"
+    assert stderr == b""
+    assert proc.returncode == cli.EXIT_PIPE == 141
